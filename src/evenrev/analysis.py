@@ -19,15 +19,12 @@ from .inverse import Kernel, even_inverse_spectral
 from .laurent import (
     Mask,
     abs_moment,
-    as_signal,
     difference,
     even_part,
-    convolve,
     min_modulus_on_circle,
     norm_l1,
     odd_part,
     unit_circle,
-    upsample_mask,
 )
 from .transform import Pyramid, decompose_level, decompose, reconstruct, threshold_details
 
@@ -247,21 +244,24 @@ def estimate_subdivision_sup_norm(alpha: Mask, max_power: int = 12) -> float:
     The j-fold upscaling operator has mask ``alpha(z) alpha(z^2) ...
     alpha(z^(2^(j-1)))``; its sup operator norm is the largest absolute
     row sum, i.e. the max over residues mod ``2**j`` of the coefficient
-    magnitudes in that class.  Powers up to ``max_power`` are scanned.
+    magnitudes in that class.  Powers up to ``max_power`` are scanned; each
+    iterate is built from the last as one shifted copy per tap of alpha.
     """
     if max_power < 1:
         raise ParameterError("max_power must be >= 1")
-    af = alpha.astype_float()
-    iterated = af
+    taps = alpha.floats
+    iterated, offset = taps, alpha.offset
     best = 1.0
     for j in range(1, max_power + 1):
-        exps = iterated.offset + np.arange(len(iterated.coeffs))
-        mags = np.abs(np.array([float(c) for c in iterated.coeffs]))
-        sums = np.zeros(1 << j)
-        np.add.at(sums, exps % (1 << j), mags)
+        period = 1 << j
+        residues = (offset + np.arange(iterated.size)) % period
+        sums = np.bincount(residues, np.abs(iterated), minlength=period)
         best = max(best, float(np.max(sums)))
-        if j < max_power:
-            iterated = convolve(iterated, upsample_mask(af, 1 << j))
+        if j < max_power and taps.size:
+            nxt = np.zeros(iterated.size + period * (taps.size - 1))
+            for i, w in enumerate(taps):
+                nxt[i * period : i * period + iterated.size] += w * iterated
+            iterated, offset = nxt, offset + period * alpha.offset
     return best
 
 
@@ -453,7 +453,6 @@ def compression_experiment(
     budget ``K_sub * sum_l ||d_l - d_l(eps)||_inf`` that provably dominates
     the error.
     """
-    signal = as_signal(signal)
     k_sub = estimate_subdivision_sup_norm(alpha) if sup_norm is None else sup_norm
     pyramid = decompose(signal, alpha, levels, mode=mode, kernel=kernel, mask_id=mask_id)
     baseline = reconstruct(pyramid, alpha)

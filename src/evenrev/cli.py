@@ -36,7 +36,7 @@ class RunConfig:
         s = self.circle_samples
         if s < 1024 or s & (s - 1):
             raise ParameterError("circle_samples must be a power of two >= 1024")
-        if self.mode not in ("exact", "exact_periodic", "kernel"):
+        if self.mode not in ("exact", "kernel"):
             raise ParameterError(f"unknown default mode {self.mode!r}")
         return self
 
@@ -51,12 +51,23 @@ def _load_config(path: str | None) -> RunConfig:
     return cfg.validate()
 
 
-def _emit(obj, out: str | None) -> None:
-    text = serialize.dump_json(obj)
+def _write(text: str, out: str | None) -> None:
     if out:
         serialize.write_text_atomic(out, text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(obj, out: str | None) -> None:
+    _write(serialize.dump_json(obj), out)
+
+
+def _emit_rows(report, args) -> int:
+    """Report rows as CSV to ``--out`` (or stdout), the whole report to ``--json``."""
+    _write(serialize.rows_to_csv_text(report.rows), args.out)
+    if args.json:
+        serialize.write_json_atomic(args.json, serialize.report_to_obj(report))
+    return 0
 
 
 def _load_mask(path: str):
@@ -124,12 +135,7 @@ def _cmd_decompose(args, cfg: RunConfig) -> int:
 def _cmd_reconstruct(args, cfg: RunConfig) -> int:
     mask = _load_mask(args.mask)
     pyramid = serialize.pyramid_from_obj(serialize.load_json(args.pyramid))
-    signal = reconstruct(pyramid, mask)
-    text = serialize.signal_to_csv_text(signal)
-    if args.out:
-        serialize.write_text_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(serialize.signal_to_csv_text(reconstruct(pyramid, mask)), args.out)
     return 0
 
 
@@ -142,22 +148,14 @@ def _cmd_compress(args, cfg: RunConfig) -> int:
 
 
 def _cmd_analyze(args, cfg: RunConfig) -> int:
+    mask = _load_mask(args.mask)
     if args.analysis == "decay":
-        mask = _load_mask(args.mask)
         mode, kernel = _resolve_kernel(args, mask, cfg)
         report = analysis.decay_report(
             args.fn, args.levels, args.base, mask, mode=mode, kernel=kernel
         )
-        csv_text = serialize.rows_to_csv_text(report.rows)
-        if args.out:
-            serialize.write_text_atomic(args.out, csv_text)
-        else:
-            sys.stdout.write(csv_text)
-        if args.json:
-            serialize.write_json_atomic(args.json, serialize.report_to_obj(report))
-        return 0
+        return _emit_rows(report, args)
     if args.analysis == "stability":
-        mask = _load_mask(args.mask)
         seed = args.seed if args.seed is not None else cfg.seed
         if args.stability_mode == "dec":
             report = analysis.decomposition_stability_experiment(
@@ -173,20 +171,12 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
         _emit(serialize.report_to_obj(report), args.out)
         return 0 if report.all_ok else 1
     if args.analysis == "compress":
-        mask = _load_mask(args.mask)
         signal = _load_signal(args.signal)
         grid = [float(tok) for tok in args.eps_grid.split(",") if tok.strip()]
         if not grid:
             raise ParameterError("--eps-grid must list at least one threshold")
         report = analysis.compression_experiment(signal, mask, args.levels, grid)
-        csv_text = serialize.rows_to_csv_text(report.rows)
-        if args.out:
-            serialize.write_text_atomic(args.out, csv_text)
-        else:
-            sys.stdout.write(csv_text)
-        if args.json:
-            serialize.write_json_atomic(args.json, serialize.report_to_obj(report))
-        return 0
+        return _emit_rows(report, args)
     raise ParameterError(f"unknown analysis {args.analysis!r}")
 
 

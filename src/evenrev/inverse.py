@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import (
     ParameterError,
     SlowDecayError,
 )
-from .laurent import Mask, even_part, unit_circle
+from .laurent import Mask, unit_circle
 from .masks import PseudoSplineParams, bspline_mask, generalized_binomial
 
 __all__ = [
@@ -116,8 +117,13 @@ class Kernel:
     def sum(self) -> float:
         return float(np.sum(self.coeffs))
 
+    @cached_property
+    def _mask(self) -> Mask:
+        return Mask(self.offset, tuple(self.coeffs.tolist()))
+
     def as_mask(self) -> Mask:
-        return Mask(self.offset, tuple(float(c) for c in self.coeffs))
+        """The coefficients as a float :class:`Mask`, built once per kernel."""
+        return self._mask
 
     def symbol(self, z):
         return self.as_mask().symbol(z)
@@ -139,7 +145,7 @@ def check_even_reversible(
     Returns the minimum modulus and the grid point attaining it; raises
     :class:`EvenReversibilityError` when the even part is identically zero.
     """
-    ev = even_part(alpha)
+    ev = alpha.polyphase[0]
     if ev.is_zero:
         raise EvenReversibilityError("mask has identically zero even part")
     z = unit_circle(max(samples, 4 * len(ev.coeffs)))
@@ -237,8 +243,9 @@ def even_inverse_spectral(
     ``||g * ev - delta||_1`` is verified to be below ``tol``.
 
     Raises :class:`EvenReversibilityError` when the even symbol (nearly)
-    vanishes and :class:`SlowDecayError` when the budget ``max_size`` is
-    exhausted before stabilisation.
+    vanishes, and :class:`SlowDecayError` when the budget ``max_size`` is
+    exhausted before stabilisation or when the stabilised residual exceeds
+    ``tol`` (``tol`` below the rounding floor, which doubling only raises).
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
@@ -248,7 +255,7 @@ def even_inverse_spectral(
             f"even symbol modulus {rev.min_modulus:.3e} at z={rev.witness:.6f} "
             f"is below the guard {guard:.1e}"
         )
-    ev = even_part(alpha)
+    ev = alpha.polyphase[0]
     size = 64
     while 4 * len(ev.coeffs) > size:
         size *= 2
@@ -264,9 +271,17 @@ def even_inverse_spectral(
         )
         if drift < tol / 4.0 and edge < tol / 4.0:
             kernel = _trim_kernel(curr, -(size // 2), tol)
-            kernel = _finalize_kernel(kernel, alpha, ev, tol, certify, samples)
-            if kernel is not None:
-                return kernel
+            residual = inverse_residual_l1(alpha, kernel)
+            if residual > tol:
+                raise SlowDecayError(
+                    f"inverse stabilised at {size} samples with residual "
+                    f"||g*ev - delta||_1 = {residual:.3e} above tol {tol:.1e}; "
+                    "a finer grid only adds rounding noise, so use a larger tol"
+                )
+            cert = decay_certificate(alpha, samples=samples) if certify else None
+            if cert is not None and not cert.hypothesis_met:
+                cert = None
+            return Kernel(kernel.offset, kernel.coeffs, tol, kernel.source, cert)
         prev = curr
     raise SlowDecayError(
         f"inverse coefficients did not stabilise below {tol:.1e} within {max_size} samples"
@@ -286,20 +301,6 @@ def _trim_kernel(values: np.ndarray, offset: int, tol: float) -> Kernel:
         dropped += abs(values[hi - 1])
         hi -= 1
     return Kernel(offset + lo, values[lo:hi], tol, "spectral")
-
-
-def _finalize_kernel(
-    kernel: Kernel, alpha: Mask, ev: Mask, tol: float, certify: bool, samples: int
-) -> Kernel | None:
-    residual = inverse_residual_l1(alpha, kernel)
-    if residual > tol:
-        return None
-    cert = None
-    if certify:
-        cert = decay_certificate(alpha, samples=samples)
-        if not cert.hypothesis_met:
-            cert = None
-    return Kernel(kernel.offset, kernel.coeffs, tol, kernel.source, cert)
 
 
 def even_inverse(
@@ -356,7 +357,7 @@ def decay_certificate(
     ``require_positive=True`` such masks raise
     :class:`CertificateUnavailableError` instead.
     """
-    ev = even_part(alpha)
+    ev = alpha.polyphase[0]
     if ev.is_zero:
         raise EvenReversibilityError("mask has identically zero even part")
     vals = ev.symbol(unit_circle(max(samples, 4 * len(ev.coeffs))))
@@ -439,18 +440,17 @@ def one_norm_bound_C(k: int, nu: int) -> float:
 
 def verify_inverse(alpha: Mask, kernel: Kernel, samples: int = 16384) -> float:
     """Max over the sampled circle of ``|ev(z) * g(z) - 1|``."""
-    ev = even_part(alpha)
+    ev = alpha.polyphase[0]
     z = unit_circle(max(samples, 4 * max(len(ev.coeffs), kernel.coeffs.size)))
     return float(np.max(np.abs(ev.symbol(z) * kernel.symbol(z) - 1.0)))
 
 
 def inverse_residual_l1(alpha: Mask, kernel: Kernel) -> float:
     """One-norm ``||g * ev - delta||_1`` of the finite convolution."""
-    ev = even_part(alpha)
+    ev = alpha.polyphase[0]
     if ev.is_zero:
         raise EvenReversibilityError("mask has identically zero even part")
-    evf = np.array([float(c) for c in ev.coeffs])
-    conv = np.convolve(np.asarray(kernel.coeffs), evf)
+    conv = np.convolve(np.asarray(kernel.coeffs), ev.floats)
     pos = -(kernel.offset + ev.offset)  # index of the z**0 coefficient
     if 0 <= pos < conv.size:
         conv[pos] -= 1.0

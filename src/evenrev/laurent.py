@@ -21,12 +21,17 @@ Conventions (used consistently everywhere):
 * even part     ``(ev m)_k = m_{2k}``, odd part ``(od m)_k = m_{2k+1}``, so
   ``m(z) = ev(z^2) + z * od(z^2)``
 * difference    ``(diff c)_k = c_{k+1} - c_k``
+
+Upscaling runs in polyphase form, ``(S_m c)_{2k} = (ev * c)_k`` and
+``(S_m c)_{2k+1} = (od * c)_k``: two short periodic convolutions at the coarse
+period, computed by the same primitive as :func:`circular_convolve`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
 
 import numpy as np
@@ -120,7 +125,19 @@ class Mask:
         return sum(self.coeffs, start=Fraction(0)) if self.is_rational else sum(self.coeffs)
 
     def astype_float(self) -> "Mask":
-        return Mask(self.offset, tuple(float(c) for c in self.coeffs))
+        return Mask(self.offset, tuple(self.floats.tolist()))
+
+    @cached_property
+    def floats(self) -> np.ndarray:
+        """Read-only float64 copy of ``coeffs``, converted once per instance."""
+        out = np.array([float(c) for c in self.coeffs])
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def polyphase(self) -> tuple:
+        """``(even_part(self), odd_part(self))``, split once per instance."""
+        return even_part(self), odd_part(self)
 
     # -- algebra -----------------------------------------------------------
 
@@ -169,8 +186,7 @@ class Mask:
         if self.is_zero:
             out = np.zeros_like(z)
             return out if out.ndim else complex(out)
-        floats = [float(c) for c in self.coeffs]
-        out = np.polyval(list(reversed(floats)), z)
+        out = np.polyval(self.floats[::-1], z)
         if self.offset:
             out = out * z ** self.offset
         return out if out.ndim else complex(out)
@@ -202,9 +218,7 @@ def convolve(a: Mask, b: Mask) -> Mask:
     if a.is_zero or b.is_zero:
         return Mask(0, ())
     if not (a.is_rational and b.is_rational):
-        floats_a = np.array([float(c) for c in a.coeffs])
-        floats_b = np.array([float(c) for c in b.coeffs])
-        return Mask(a.offset + b.offset, tuple(np.convolve(floats_a, floats_b).tolist()))
+        return Mask(a.offset + b.offset, tuple(np.convolve(a.floats, b.floats).tolist()))
     out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
     b_nonzero = [(j, cb) for j, cb in enumerate(b.coeffs) if cb != 0]
     for i, ca in enumerate(a.coeffs):
@@ -215,26 +229,19 @@ def convolve(a: Mask, b: Mask) -> Mask:
     return Mask(a.offset + b.offset, tuple(out))
 
 
+def _phase(m: Mask, parity: int) -> Mask:
+    first = (parity - m.offset) % 2  # position of the first index with this parity
+    return Mask((m.offset + first - parity) // 2, m.coeffs[first::2])
+
+
 def even_part(m: Mask) -> Mask:
     """Subsequence of even-index coefficients: ``(ev m)_k = m_{2k}``."""
-    if m.is_zero:
-        return m
-    lo = -(-m.offset // 2)  # ceil(offset / 2)
-    hi = (m.offset + len(m.coeffs) - 1) // 2
-    if hi < lo:
-        return Mask(0, ())
-    return Mask(lo, tuple(m.coeff(2 * k) for k in range(lo, hi + 1)))
+    return _phase(m, 0)
 
 
 def odd_part(m: Mask) -> Mask:
     """Subsequence of odd-index coefficients: ``(od m)_k = m_{2k+1}``."""
-    if m.is_zero:
-        return m
-    lo = -(-(m.offset - 1) // 2)
-    hi = (m.offset + len(m.coeffs) - 2) // 2
-    if hi < lo:
-        return Mask(0, ())
-    return Mask(lo, tuple(m.coeff(2 * k + 1) for k in range(lo, hi + 1)))
+    return _phase(m, 1)
 
 
 def upsample_mask(m: Mask, factor: int = 2) -> Mask:
@@ -254,17 +261,22 @@ def upsample_mask(m: Mask, factor: int = 2) -> Mask:
 # ---------------------------------------------------------------------------
 
 
-def as_signal(values) -> np.ndarray:
-    """Validate and copy one period of a periodic signal as float64."""
+def _signal(values) -> np.ndarray:
+    """Validate one period of a periodic signal as float64, without copying."""
     c = np.asarray(values, dtype=float)
     if c.ndim != 1 or c.size < 1:
         raise LengthError("a periodic signal is a nonempty 1-D array")
-    return c.copy()
+    return c
+
+
+def as_signal(values) -> np.ndarray:
+    """Validate and copy one period of a periodic signal as float64."""
+    return _signal(values).copy()
 
 
 def upsample(c) -> np.ndarray:
     """Interleave zeros: ``[a, b] -> [a, 0, b, 0]`` (period doubles)."""
-    c = as_signal(c)
+    c = _signal(c)
     out = np.zeros(2 * c.size)
     out[::2] = c
     return out
@@ -272,43 +284,45 @@ def upsample(c) -> np.ndarray:
 
 def downsample(c) -> np.ndarray:
     """Keep even-index entries: ``[a, b, c, d] -> [a, c]`` (period halves)."""
-    c = as_signal(c)
+    c = _signal(c)
     if c.size % 2:
         raise LengthError(f"downsampling needs an even period, got {c.size}")
     return c[::2].copy()
 
 
+def _periodic_convolve(offset: int, w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``out_k = sum_i w_i c_{k-offset-i mod N}`` for a validated signal ``c``."""
+    if not w.size:
+        return np.zeros(c.size)
+    # wrap c once into the N + len(w) - 1 samples the sum reads; "wrap" folds
+    # every index, so a support longer than the period is handled as well
+    start = -offset - w.size + 1
+    wrapped = c.take(np.arange(start, start + c.size + w.size - 1), mode="wrap")
+    return np.convolve(wrapped, w, "valid")
+
+
 def circular_convolve(m: Mask, c) -> np.ndarray:
     """Periodic convolution ``(m * c)_k = sum_l m_l c_{k-l mod N}``."""
-    c = as_signal(c)
-    out = np.zeros(c.size)
-    for i, w in enumerate(m.coeffs):
-        w = float(w)
-        if w:
-            out += w * np.roll(c, m.offset + i)
-    return out
+    return _periodic_convolve(m.offset, m.floats, _signal(c))
 
 
 def subdivide(m: Mask, c) -> np.ndarray:
     """Upscaling step ``(S_m c)_k = sum_l m_{k-2l} c_l`` (period doubles).
 
-    Implemented by scattering each mask coefficient onto its stride-2 grid,
-    which is an independent code path from ``circular_convolve(m, upsample(c))``.
+    Polyphase form: the even part of ``m`` fills the even output slots and
+    the odd part the odd ones, each a periodic convolution at period ``N``.
     """
-    c = as_signal(c)
-    n = c.size
-    out = np.zeros(2 * n)
-    base = 2 * np.arange(n)
-    for i, w in enumerate(m.coeffs):
-        w = float(w)
-        if w:
-            out[(base + m.offset + i) % (2 * n)] += w * c
+    c = _signal(c)
+    ev, od = m.polyphase
+    out = np.empty(2 * c.size)
+    out[0::2] = _periodic_convolve(ev.offset, ev.floats, c)
+    out[1::2] = _periodic_convolve(od.offset, od.floats, c)
     return out
 
 
 def difference(c) -> np.ndarray:
     """Periodic forward difference ``(diff c)_k = c_{k+1} - c_k``."""
-    c = as_signal(c)
+    c = _signal(c)
     return np.roll(c, -1) - c
 
 
@@ -322,14 +336,13 @@ def unit_circle(samples: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.arange(samples) / samples)
 
 
-def _validated_samples(m: Mask, samples: int) -> int:
+def _validated_samples(m: Mask, samples: int) -> None:
     if samples < 4 or samples & (samples - 1):
         raise ParameterError("samples must be a power of two >= 4")
     if samples < 4 * max(len(m.coeffs), 1):
         raise ParameterError(
             f"samples={samples} undersamples a mask with {len(m.coeffs)} coefficients"
         )
-    return samples
 
 
 def sup_norm_on_circle(m: Mask, samples: int = 16384) -> float:

@@ -104,7 +104,7 @@ def is_interpolatory(m: Mask, tol: float = 1e-12) -> bool:
     """True iff the even part is the unit impulse (exactly for rational masks)."""
     ev = even_part(m)
     if m.is_rational:
-        return ev == delta(1) or ev == delta(Fraction(1))
+        return ev == delta(1)
     if ev.is_zero:
         return False
     diff = ev - delta(1.0)

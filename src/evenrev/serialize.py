@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import tempfile
 from fractions import Fraction
@@ -179,10 +180,23 @@ def signal_to_csv_text(c) -> str:
 
 
 def signal_from_csv_text(text: str) -> np.ndarray:
-    values = [float(line) for line in text.split() if line.strip()]
-    if not values:
+    """One finite sample per line; a bad entry raises naming its 1-based line."""
+    try:
+        values = np.array([float(tok) for tok in text.split()])
+    except ValueError:
+        values = None
+    if values is None or not np.all(np.isfinite(values)):
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            for tok in line.split():
+                try:
+                    bad = not math.isfinite(float(tok))
+                except ValueError:
+                    bad = True
+                if bad:
+                    raise ParameterError(f"signal line {lineno}: {tok!r} is not a finite number")
+    if not values.size:
         raise ParameterError("signal file contains no samples")
-    return np.array(values)
+    return values
 
 
 def report_to_obj(report) -> dict:

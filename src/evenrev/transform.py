@@ -34,15 +34,7 @@ from .errors import (
     ShapeError,
 )
 from .inverse import Kernel, even_inverse_spectral
-from .laurent import (
-    Mask,
-    as_signal,
-    circular_convolve,
-    delta,
-    downsample,
-    even_part,
-    subdivide,
-)
+from .laurent import Mask, _signal, as_signal, circular_convolve, downsample, subdivide
 
 __all__ = ["Pyramid", "decimate", "decompose_level", "decompose", "reconstruct", "threshold_details"]
 
@@ -93,14 +85,6 @@ class Pyramid:
         return max(float(np.max(np.abs(d[::2]))) for d in self.details)
 
 
-def _normalize_mode(mode: str) -> str:
-    if mode in ("exact", "exact_periodic"):
-        return "exact"
-    if mode == "kernel":
-        return "kernel"
-    raise ParameterError(f"unknown decimation mode {mode!r}; use one of {MODES}")
-
-
 def _exact_decimate(ce: np.ndarray, ev: Mask, guard: float) -> np.ndarray:
     m = ce.size
     z = np.exp(-2j * np.pi * np.arange(m // 2 + 1) / m)
@@ -128,17 +112,18 @@ def decimate(
     ``"kernel"`` mode a truncated kernel is convolved instead (computed
     spectrally from ``alpha`` when not supplied).
     """
-    c = as_signal(c)
+    c = _signal(c)
     if c.size % 2:
         raise LengthError(f"decimation needs an even period, got {c.size}")
-    mode = _normalize_mode(mode)
+    if mode not in MODES:
+        raise ParameterError(f"unknown decimation mode {mode!r}; use one of {MODES}")
     ce = downsample(c)
     if mode == "kernel":
         if kernel is None:
             kernel = even_inverse_spectral(alpha)
         return circular_convolve(kernel.as_mask(), ce)
-    ev = even_part(alpha)
-    if ev == delta(1) or ev == delta(1.0):
+    ev = alpha.polyphase[0]
+    if ev.offset == 0 and ev.floats.tolist() == [1.0]:
         return ce
     return _exact_decimate(ce, ev, guard)
 
@@ -150,8 +135,7 @@ def decompose_level(
     kernel: Kernel | None = None,
 ):
     """One analysis step: returns ``(coarse, detail)`` with ``detail`` full length."""
-    c = as_signal(c)
-    coarse = decimate(c, alpha, mode=mode, kernel=kernel)
+    coarse = decimate(c, alpha, mode=mode, kernel=kernel)  # validates c
     detail = c - subdivide(alpha, coarse)
     return coarse, detail
 
@@ -165,14 +149,13 @@ def decompose(
     mask_id: str = "custom",
 ) -> Pyramid:
     """Run ``levels`` analysis steps, finest data in, coarse-plus-details out."""
-    c = as_signal(c)
+    c = _signal(c)
     if levels < 1:
         raise LevelError(f"need at least one level, got {levels}")
     if c.size % (1 << levels) or c.size // (1 << levels) < 2:
         raise LevelError(
             f"period {c.size} does not support {levels} halvings with >= 2 coarse samples"
         )
-    mode = _normalize_mode(mode)
     if mode == "kernel" and kernel is None:
         kernel = even_inverse_spectral(alpha)
     details = []

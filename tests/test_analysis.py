@@ -25,7 +25,7 @@ from evenrev import (
 )
 from evenrev.analysis import subdivision_norm_2, subdivision_norm_inf
 from evenrev.inverse import SQRT2_RATIO
-from evenrev.laurent import difference
+from evenrev.laurent import convolve, difference, upsample_mask
 from evenrev.transform import Pyramid
 
 
@@ -152,6 +152,34 @@ def test_sup_norm_estimate_is_one_for_bsplines():
     # nonnegative normalized rows: every power has unit row sums
     for order in (2, 3, 4, 5):
         assert abs(estimate_subdivision_sup_norm(bspline_mask(order), 8) - 1.0) < 1e-12
+
+
+def dense_subdivision_sup_norm(alpha, max_power=12):
+    """Reference: iterate the mask by dense convolution with zero-upsampled copies."""
+    af = alpha.astype_float()
+    iterated = af
+    best = 1.0
+    for j in range(1, max_power + 1):
+        exps = iterated.offset + np.arange(len(iterated.coeffs))
+        mags = np.abs(np.array([float(c) for c in iterated.coeffs]))
+        sums = np.zeros(1 << j)
+        np.add.at(sums, exps % (1 << j), mags)
+        best = max(best, float(np.max(sums)))
+        if j < max_power:
+            iterated = convolve(iterated, upsample_mask(af, 1 << j))
+    return best
+
+
+def test_sup_norm_estimate_matches_dense_iteration():
+    # all 35 pseudo-splines of orders 3-12; power 10 keeps the dense oracle fast
+    for n in range(3, 13):
+        for nu in range(n // 2):
+            mask = pseudo_spline_mask(n, nu)
+            want = dense_subdivision_sup_norm(mask, 10)
+            assert abs(estimate_subdivision_sup_norm(mask, 10) - want) <= 1e-12 * want, (n, nu)
+    for mask in (bspline_mask(3), bspline_mask(4), dd_mask(2)):
+        want = dense_subdivision_sup_norm(mask)
+        assert abs(estimate_subdivision_sup_norm(mask) - want) <= 1e-12 * want
 
 
 def test_sup_norm_estimate_exceeds_one_for_dd():

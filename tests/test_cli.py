@@ -1,6 +1,9 @@
 """End-to-end command-line tests through real files."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -162,6 +165,36 @@ def test_validation_error_exit_code(tmp_path, capsys):
     write_text_atomic(str(bad), json.dumps({"offset": 0, "coeffs": []}) + "\n")
     assert run("invert", "--mask", str(bad)) == 1
     assert capsys.readouterr().err.startswith("error: validation:")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("1.0\n\n2.0\nabc\n", 4), ("1.0\n1.0,2.0\n", 2), ("1.0\nnan\n", 2), ("-inf\n1.0\n", 1)],
+)
+def test_malformed_signal_is_a_validation_error(quadratic_mask, tmp_path, capsys, text, line):
+    signal = tmp_path / "bad.csv"
+    signal.write_text(text)
+    argv = ["decompose", "--signal", str(signal), "--mask", str(quadratic_mask), "--levels", "1"]
+    assert run(*argv, "--out", str(tmp_path / "p.json")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: ") and err.count("\n") == 1
+    assert f"line {line}:" in err
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_malformed_signal_exits_without_traceback(quadratic_mask, tmp_path):
+    signal = tmp_path / "bad.csv"
+    signal.write_text("0.5\nabc\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "evenrev.cli", "decompose", "--signal", str(signal),
+         "--mask", str(quadratic_mask), "--levels", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: validation: signal line 2: 'abc' is not a finite number"]
+    assert proc.stdout == ""
 
 
 def test_config_file_applies(tmp_path, quadratic_mask, capsys):

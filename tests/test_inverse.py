@@ -31,7 +31,7 @@ from evenrev import (
     upsample_mask,
     verify_inverse,
 )
-from evenrev.inverse import SQRT2_RATIO, inverse_residual_l1
+from evenrev.inverse import SQRT2_RATIO, _periodized_inverse, _trim_kernel, inverse_residual_l1
 from evenrev.laurent import even_part, min_modulus_on_circle
 
 SQRT2 = math.sqrt(2.0)
@@ -189,6 +189,46 @@ def test_spectral_slow_decay_budget():
     mask = make_mask(0, [1.0, 0.0, 1.0 - eps])  # even part 1 + (1-eps) z
     with pytest.raises(SlowDecayError):
         even_inverse_spectral(mask, tol=1e-12, guard=1e-9, max_size=1 << 14)
+
+
+def test_spectral_tol_below_rounding_floor_names_residual():
+    # The stabilised kernel keeps rounding noise, so ||g*ev - delta||_1 sits
+    # near 1e-14 and grows with the grid: stop at once and say why.
+    message = r"residual \|\|g\*ev - delta\|\|_1 = \d\.\d+e-1\d above tol 1\.0e-14"
+    with pytest.raises(SlowDecayError, match=message):
+        even_inverse_spectral(pseudo_spline_mask(11, 0), tol=1e-14)
+
+
+def _doubling_reference(alpha, tol, max_size=1 << 20):
+    """The stabilisation loop that doubles past every rejected residual."""
+    ev = even_part(alpha)
+    size = 64
+    while 4 * len(ev.coeffs) > size:
+        size *= 2
+    prev = _periodized_inverse(ev, size)
+    while size < max_size:
+        size *= 2
+        curr = _periodized_inverse(ev, size)
+        lo = size // 2 - prev.size // 2
+        drift = np.max(np.abs(curr[lo : lo + prev.size] - prev))
+        edge = max(np.max(np.abs(curr[: size // 4])), np.max(np.abs(curr[3 * size // 4 :])))
+        if drift < tol / 4.0 and edge < tol / 4.0:
+            kernel = _trim_kernel(curr, -(size // 2), tol)
+            if inverse_residual_l1(alpha, kernel) <= tol:
+                return kernel
+        prev = curr
+    return None
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+def test_spectral_kernels_unchanged_above_rounding_floor(tol):
+    for n in range(3, 13):
+        for nu in range(n // 2):
+            mask = pseudo_spline_mask(n, nu)
+            ref = _doubling_reference(mask, tol)
+            got = even_inverse_spectral(mask, tol=tol, certify=False)
+            assert got.offset == ref.offset, (n, nu)
+            assert got.coeffs.tobytes() == ref.coeffs.tobytes(), (n, nu)
 
 
 def test_even_inverse_dispatch():

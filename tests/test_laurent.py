@@ -43,6 +43,30 @@ def brute_subdivide(mask, c):
     return out
 
 
+def naive_subdivide(mask, c):
+    """Reference upscaling: scatter each tap onto its stride-2 grid mod 2N."""
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    out = np.zeros(2 * n)
+    base = 2 * np.arange(n)
+    for i, w in enumerate(mask.coeffs):
+        w = float(w)
+        if w:
+            out[(base + mask.offset + i) % (2 * n)] += w * c
+    return out
+
+
+def naive_circular_convolve(mask, c):
+    """Reference periodic convolution: one ``np.roll`` per tap."""
+    c = np.asarray(c, dtype=float)
+    out = np.zeros(c.size)
+    for i, w in enumerate(mask.coeffs):
+        w = float(w)
+        if w:
+            out += w * np.roll(c, mask.offset + i)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -224,7 +248,7 @@ def test_subdivide_matches_convolve_upsample():
     for mask in (bspline_mask(3), bspline_mask(4), make_mask(-3, [0.3, -1.2, 2.0, 0.7])):
         c = rng.uniform(-5, 5, 16)
         a = subdivide(mask, c)
-        b = circular_convolve(mask, upsample(c))
+        b = naive_circular_convolve(mask, upsample(c))
         assert np.max(np.abs(a - b)) < 1e-13
 
 
@@ -343,6 +367,31 @@ def test_convolution_norm_bound(offset, coeffs, signal):
     c = np.asarray(signal)
     out = circular_convolve(m, c)
     assert np.max(np.abs(out)) <= norm_l1(m) * np.max(np.abs(c)) + 1e-12
+
+
+float_taps = st.lists(
+    st.floats(-2, 2, allow_nan=False, allow_infinity=False), min_size=1, max_size=14
+)
+fraction_taps = st.lists(st.fractions(-4, 4, max_denominator=8), min_size=1, max_size=14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(-12, 12),
+    st.one_of(float_taps, fraction_taps),
+    st.lists(st.floats(-10, 10, allow_nan=False, allow_infinity=False), min_size=1, max_size=20),
+)
+def test_periodic_operators_match_references(offset, coeffs, signal):
+    # supports of up to 14 taps against periods down to 1 wrap several times
+    if not any(coeffs):
+        return
+    m = make_mask(offset, coeffs)
+    c = np.asarray(signal)
+    tol = 1e-13 * np.max(np.abs(c))
+    sub = subdivide(m, c)
+    assert np.max(np.abs(sub - naive_subdivide(m, c))) <= tol
+    assert np.max(np.abs(sub - brute_subdivide(m, c))) <= tol
+    assert np.max(np.abs(circular_convolve(m, c) - naive_circular_convolve(m, c))) <= tol
 
 
 @settings(max_examples=40, deadline=None)
