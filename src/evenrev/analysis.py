@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .laurent import (
     min_modulus_on_circle,
     norm_l1,
     odd_part,
-    unit_circle,
+    symbol_on_circle,
 )
 from .transform import Pyramid, decompose_level, decompose, reconstruct, threshold_details
 
@@ -113,25 +113,12 @@ def derivative_bound(kind: str, params: dict | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-class MomentConstants(tuple):
+class MomentConstants(NamedTuple):
     """Triple ``(k_alpha, k_gamma, k_combined)`` of moment constants."""
 
-    __slots__ = ()
-
-    def __new__(cls, k_alpha, k_gamma, k_combined):
-        return super().__new__(cls, (float(k_alpha), float(k_gamma), float(k_combined)))
-
-    @property
-    def k_alpha(self):
-        return self[0]
-
-    @property
-    def k_gamma(self):
-        return self[1]
-
-    @property
-    def k_combined(self):
-        return self[2]
+    k_alpha: float
+    k_gamma: float
+    k_combined: float
 
 
 def filter_moment_constants(alpha: Mask, kernel: Kernel) -> MomentConstants:
@@ -211,18 +198,10 @@ def decay_report(
     rows = []
     for level in range(levels + 1):
         bound_delta = fprime * g1 ** (levels - level) * 2.0 ** (-level)
-        if level == 0:
-            rows.append(DecayRow(0, delta_norms[0], None, bound_delta, None))
-        else:
-            rows.append(
-                DecayRow(
-                    level,
-                    delta_norms[level],
-                    detail_norms[level],
-                    bound_delta,
-                    moments.k_combined * bound_delta,
-                )
-            )
+        bound_detail = moments.k_combined * bound_delta if level else None
+        rows.append(
+            DecayRow(level, delta_norms[level], detail_norms.get(level), bound_delta, bound_detail)
+        )
     constants = {
         "fprime_bound": fprime,
         "k_alpha": moments.k_alpha,
@@ -276,8 +255,8 @@ def subdivision_norm_2(alpha: Mask, samples: int = 16384) -> float:
     Equals the sup over the circle of ``sqrt((|alpha(z)|^2 + |alpha(-z)|^2)/2)``
     because upsampling spreads the spectrum over both half-circles.
     """
-    vals = np.abs(alpha.symbol(unit_circle(samples))) ** 2
-    shifted = np.roll(vals, samples // 2)
+    vals = np.abs(symbol_on_circle(alpha, samples)) ** 2
+    shifted = np.roll(vals, samples // 2)  # |alpha(-z_j)|^2 = |alpha(z_{j+n/2})|^2
     return float(np.sqrt(np.max((vals + shifted) / 2.0)))
 
 

@@ -8,6 +8,8 @@ single machine-parsable line on standard error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import math
 import sys
 from dataclasses import dataclass
 
@@ -38,6 +40,12 @@ class RunConfig:
             raise ParameterError("circle_samples must be a power of two >= 1024")
         if self.mode not in ("exact", "kernel"):
             raise ParameterError(f"unknown default mode {self.mode!r}")
+        if not 0 <= self.guard_threshold < math.inf:
+            raise ParameterError(
+                f"guard_threshold must be finite and >= 0, got {self.guard_threshold!r}"
+            )
+        if not 0 < self.inverse_tol < math.inf:
+            raise ParameterError(f"inverse_tol must be finite and > 0, got {self.inverse_tol!r}")
         return self
 
 
@@ -45,9 +53,19 @@ def _load_config(path: str | None) -> RunConfig:
     cfg = RunConfig()
     if path:
         obj = serialize.load_json(path)
-        for name in ("circle_samples", "guard_threshold", "inverse_tol", "seed", "mode"):
-            if name in obj:
-                setattr(cfg, name, obj[name])
+        if not isinstance(obj, dict):
+            raise ParameterError(f"config {path} must be a JSON object")
+        for field in dataclasses.fields(cfg):
+            if field.name not in obj:
+                continue
+            value, default = obj[field.name], getattr(cfg, field.name)
+            kind = (int, float) if isinstance(default, float) else type(default)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ParameterError(
+                    f"config {path}: {field.name} must be {type(default).__name__}, "
+                    f"got {value!r:.40}"
+                )
+            setattr(cfg, field.name, value)
     return cfg.validate()
 
 

@@ -25,7 +25,7 @@ from .errors import (
     ParameterError,
     SlowDecayError,
 )
-from .laurent import Mask, unit_circle
+from .laurent import Mask, symbol_on_circle
 from .masks import PseudoSplineParams, bspline_mask, generalized_binomial
 
 __all__ = [
@@ -125,9 +125,6 @@ class Kernel:
         """The coefficients as a float :class:`Mask`, built once per kernel."""
         return self._mask
 
-    def symbol(self, z):
-        return self.as_mask().symbol(z)
-
 
 class EvenReversibility(NamedTuple):
     """Outcome of the nonvanishing test for an even symbol."""
@@ -135,6 +132,23 @@ class EvenReversibility(NamedTuple):
     ok: bool
     min_modulus: float
     witness: complex
+
+
+def _even_symbol(alpha: Mask, samples: int, guard: float):
+    """``(ev, values, reversibility)`` from one sampling of the even symbol.
+
+    ``values`` holds ``ev(z_j)``, ``j = 0 .. n/2``, of an ``n``-point grid; the rest
+    are conjugates, so its moduli, real parts and ``|imag|`` are the whole grid's.
+    """
+    ev = alpha.polyphase[0]
+    if ev.is_zero:
+        raise EvenReversibilityError("mask has identically zero even part")
+    n = max(samples, 4 * len(ev.coeffs))
+    vals = symbol_on_circle(ev, n, half=True)
+    mods = np.abs(vals)
+    i = int(np.argmin(mods))
+    witness = complex(np.exp(-2j * np.pi * i / n))
+    return ev, vals, EvenReversibility(bool(mods[i] > guard), float(mods[i]), witness)
 
 
 def check_even_reversible(
@@ -145,13 +159,7 @@ def check_even_reversible(
     Returns the minimum modulus and the grid point attaining it; raises
     :class:`EvenReversibilityError` when the even part is identically zero.
     """
-    ev = alpha.polyphase[0]
-    if ev.is_zero:
-        raise EvenReversibilityError("mask has identically zero even part")
-    z = unit_circle(max(samples, 4 * len(ev.coeffs)))
-    mods = np.abs(ev.symbol(z))
-    i = int(np.argmin(mods))
-    return EvenReversibility(bool(mods[i] > guard), float(mods[i]), complex(z[i]))
+    return _even_symbol(alpha, samples, guard)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +230,7 @@ def cubic_series_constants(kmax: int, nterms: int | None = None):
 
 def _periodized_inverse(ev: Mask, size: int) -> np.ndarray:
     """Inverse DFT of ``1/ev`` on ``size`` roots of unity, centred on index 0."""
-    vals = ev.symbol(unit_circle(size))
-    g = np.fft.ifft(1.0 / vals).real
+    g = np.fft.irfft(1.0 / symbol_on_circle(ev, size, half=True), size)
     return np.fft.fftshift(g)  # ascending signed indices -size/2 .. size/2 - 1
 
 
@@ -247,15 +254,14 @@ def even_inverse_spectral(
     exhausted before stabilisation or when the stabilised residual exceeds
     ``tol`` (``tol`` below the rounding floor, which doubling only raises).
     """
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
-    rev = check_even_reversible(alpha, samples=samples, guard=guard)
+    if not 0 < tol < math.inf:
+        raise ParameterError(f"tol must be positive and finite, got {tol!r}")
+    ev, vals, rev = _even_symbol(alpha, samples, guard)  # the certificate reuses vals
     if not rev.ok:
         raise EvenReversibilityError(
             f"even symbol modulus {rev.min_modulus:.3e} at z={rev.witness:.6f} "
             f"is below the guard {guard:.1e}"
         )
-    ev = alpha.polyphase[0]
     size = 64
     while 4 * len(ev.coeffs) > size:
         size *= 2
@@ -278,7 +284,7 @@ def even_inverse_spectral(
                     f"||g*ev - delta||_1 = {residual:.3e} above tol {tol:.1e}; "
                     "a finer grid only adds rounding noise, so use a larger tol"
                 )
-            cert = decay_certificate(alpha, samples=samples) if certify else None
+            cert = _certificate(ev, vals, rev.min_modulus) if certify else None
             if cert is not None and not cert.hypothesis_met:
                 cert = None
             return Kernel(kernel.offset, kernel.coeffs, tol, kernel.source, cert)
@@ -318,6 +324,8 @@ def even_inverse(
     """
     if method not in ("auto", "closed", "spectral"):
         raise ParameterError(f"unknown method {method!r}")
+    if not 0 < tol < math.inf:
+        raise ParameterError(f"tol must be positive and finite, got {tol!r}")
     if method == "spectral":
         return even_inverse_spectral(alpha, tol=tol, guard=guard, samples=samples)
     f = alpha.astype_float()
@@ -357,13 +365,12 @@ def decay_certificate(
     ``require_positive=True`` such masks raise
     :class:`CertificateUnavailableError` instead.
     """
-    ev = alpha.polyphase[0]
-    if ev.is_zero:
-        raise EvenReversibilityError("mask has identically zero even part")
-    vals = ev.symbol(unit_circle(max(samples, 4 * len(ev.coeffs))))
-    mods = np.abs(vals)
-    mn = float(np.min(mods))
-    mx = float(np.max(mods))
+    ev, vals, rev = _even_symbol(alpha, samples, guard)
+    return _certificate(ev, vals, rev.min_modulus, guard, require_positive)
+
+
+def _certificate(ev, vals, mn, guard=1e-9, require_positive=False) -> DecayCertificate:
+    mx = float(np.max(np.abs(vals)))
     if mn <= guard:
         raise CertificateUnavailableError(
             f"even symbol modulus reaches {mn:.3e}; no summable inverse"
@@ -441,8 +448,9 @@ def one_norm_bound_C(k: int, nu: int) -> float:
 def verify_inverse(alpha: Mask, kernel: Kernel, samples: int = 16384) -> float:
     """Max over the sampled circle of ``|ev(z) * g(z) - 1|``."""
     ev = alpha.polyphase[0]
-    z = unit_circle(max(samples, 4 * max(len(ev.coeffs), kernel.coeffs.size)))
-    return float(np.max(np.abs(ev.symbol(z) * kernel.symbol(z) - 1.0)))
+    n = max(samples, 4 * max(len(ev.coeffs), kernel.coeffs.size))
+    vals = symbol_on_circle(ev, n, half=True) * symbol_on_circle(kernel.as_mask(), n, half=True)
+    return float(np.max(np.abs(vals - 1.0)))
 
 
 def inverse_residual_l1(alpha: Mask, kernel: Kernel) -> float:

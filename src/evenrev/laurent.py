@@ -25,6 +25,12 @@ Conventions (used consistently everywhere):
 Upscaling runs in polyphase form, ``(S_m c)_{2k} = (ev * c)_k`` and
 ``(S_m c)_{2k+1} = (od * c)_k``: two short periodic convolutions at the coarse
 period, computed by the same primitive as :func:`circular_convolve`.
+
+Symbols are sampled on the circle only by :func:`symbol_on_circle`, at the
+points ``z_j = exp(-2*pi*i*j/n)`` of :func:`unit_circle`: ``z_j**k`` depends on
+``k`` modulo ``n``, so the coefficients are folded modulo ``n`` (supports longer
+than ``n`` included) and one FFT gives all ``n`` values, or one ``rfft`` gives
+``j = 0 .. n/2`` when the conjugate half is not needed.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ __all__ = [
     "subdivide",
     "difference",
     "unit_circle",
+    "symbol_on_circle",
     "sup_norm_on_circle",
     "min_modulus_on_circle",
     "norm_l1",
@@ -336,6 +343,15 @@ def unit_circle(samples: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.arange(samples) / samples)
 
 
+def symbol_on_circle(m: Mask, n: int, half: bool = False) -> np.ndarray:
+    """``m(z_j)`` at ``z_j = exp(-2*pi*i*j/n)``, ``j < n`` (``j <= n//2`` if ``half``).
+
+    With real coefficients ``m(z_{n-j})`` is the conjugate of ``m(z_j)``.
+    """
+    folded = np.bincount((m.offset + np.arange(m.floats.size)) % n, m.floats, minlength=n)
+    return np.fft.rfft(folded) if half else np.fft.fft(folded)
+
+
 def _validated_samples(m: Mask, samples: int) -> None:
     if samples < 4 or samples & (samples - 1):
         raise ParameterError("samples must be a power of two >= 4")
@@ -348,17 +364,13 @@ def _validated_samples(m: Mask, samples: int) -> None:
 def sup_norm_on_circle(m: Mask, samples: int = 16384) -> float:
     """Max of ``|m(z)|`` over a power-of-two grid of unit-circle points."""
     _validated_samples(m, samples)
-    if m.is_zero:
-        return 0.0
-    return float(np.max(np.abs(m.symbol(unit_circle(samples)))))
+    return float(np.max(np.abs(symbol_on_circle(m, samples, half=True))))
 
 
 def min_modulus_on_circle(m: Mask, samples: int = 16384) -> float:
     """Min of ``|m(z)|`` over a power-of-two grid of unit-circle points."""
     _validated_samples(m, samples)
-    if m.is_zero:
-        return 0.0
-    return float(np.min(np.abs(m.symbol(unit_circle(samples)))))
+    return float(np.min(np.abs(symbol_on_circle(m, samples, half=True))))
 
 
 def norm_l1(m: Mask) -> float:

@@ -3,7 +3,10 @@
 Floats are written with 17 significant decimal digits, which round-trips
 64-bit values exactly; rational masks are stored as parallel numerator and
 denominator arrays and round-trip losslessly.  All writers go through a
-temp-file-plus-rename so readers never observe partial files.
+temp-file-plus-rename so readers never observe partial files.  Readers
+validate what they load: malformed JSON, a missing or mistyped field and a
+non-finite number raise :class:`~evenrev.errors.ParameterError` naming the
+file or the field.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ShapeError
 from .inverse import DecayCertificate, Kernel
 from .laurent import Mask, make_mask
 from .transform import Pyramid
@@ -50,6 +53,46 @@ def _float_list(values) -> list[float]:
     return [float(v) for v in values]
 
 
+def _field(obj, key: str, what: str):
+    """``obj[key]``, or a :class:`ParameterError` naming the missing field."""
+    if not isinstance(obj, dict):
+        raise ParameterError(f"{what} must be a JSON object")
+    if key not in obj:
+        raise ParameterError(f"{what} lacks the field {key!r}")
+    return obj[key]
+
+
+def _int_field(obj, key: str, what: str) -> int:
+    value = _field(obj, key, what)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError(f"{what} field {key!r} must be an integer, got {value!r:.40}")
+    return value
+
+
+def _number_field(obj, key: str, what: str) -> float:
+    value = _field(obj, key, what)
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ParameterError(f"{what} field {key!r} must be a finite number, got {value!r:.40}")
+    return float(value)
+
+
+def _finite_array(values, what: str) -> np.ndarray:
+    """A JSON list of numbers as float64, checked by one ``isfinite`` pass."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.ndim != 1:
+        raise ParameterError(f"{what} must be a list of numbers")
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError(f"{what} holds a non-finite value")
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # masks
 # ---------------------------------------------------------------------------
@@ -68,17 +111,21 @@ def mask_to_obj(m: Mask) -> dict:
 
 
 def mask_from_obj(obj: dict) -> Mask:
+    offset = _int_field(obj, "offset", "mask")
     if "num" in obj:
-        num, den = obj["num"], obj["den"]
-        if len(num) != len(den):
+        num, den = obj["num"], _field(obj, "den", "mask")
+        if not isinstance(num, list) or not isinstance(den, list) or len(num) != len(den):
             raise ParameterError("num and den arrays must have equal length")
         if not num:
             raise ParameterError("mask needs at least one coefficient")
-        return make_mask(obj["offset"], [Fraction(n, d) for n, d in zip(num, den)])
+        ints = [v for v in num + den if isinstance(v, int) and not isinstance(v, bool)]
+        if len(ints) != 2 * len(num) or 0 in den:
+            raise ParameterError("mask num/den must be integers with nonzero denominators")
+        return make_mask(offset, [Fraction(n, d) for n, d in zip(num, den)])
     coeffs = obj.get("coeffs")
     if not coeffs:
         raise ParameterError("mask object needs 'num'/'den' or a nonempty 'coeffs'")
-    return make_mask(obj["offset"], [float(c) for c in coeffs])
+    return make_mask(offset, _finite_array(coeffs, "mask coeffs").tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +149,13 @@ def _certificate_to_obj(cert: DecayCertificate | None):
 def _certificate_from_obj(obj) -> DecayCertificate | None:
     if obj is None:
         return None
+    what = "certificate"
     return DecayCertificate(
-        float(obj["kappa"]),
-        int(obj["s"]),
-        float(obj["q"]),
-        float(obj["lambda"]),
-        float(obj["K"]),
+        _number_field(obj, "kappa", what),
+        _int_field(obj, "s", what),
+        _number_field(obj, "q", what),
+        _number_field(obj, "lambda", what),
+        _number_field(obj, "K", what),
         bool(obj.get("hypothesis_met", True)),
     )
 
@@ -123,10 +171,16 @@ def kernel_to_obj(k: Kernel) -> dict:
 
 
 def kernel_from_obj(obj: dict) -> Kernel:
+    coeffs = _finite_array(_field(obj, "coeffs", "kernel"), "kernel coeffs")
+    if not coeffs.size:
+        raise ParameterError("kernel needs at least one coefficient")
+    tol = _number_field(obj, "tol", "kernel")
+    if tol < 0:
+        raise ParameterError(f"kernel tol must be >= 0, got {tol!r}")
     return Kernel(
-        int(obj["offset"]),
-        np.array([float(c) for c in obj["coeffs"]]),
-        float(obj["tol"]),
+        _int_field(obj, "offset", "kernel"),
+        coeffs,
+        tol,
         str(obj.get("source", "custom")),
         _certificate_from_obj(obj.get("certificate")),
     )
@@ -155,13 +209,25 @@ def pyramid_to_obj(p: Pyramid, packed: bool = False) -> dict:
 
 
 def pyramid_from_obj(obj: dict) -> Pyramid:
-    coarse = np.array([float(v) for v in obj["coarse"]])
+    coarse = _finite_array(_field(obj, "coarse", "pyramid"), "pyramid coarse")
+    stored_details = _field(obj, "details", "pyramid")
+    if not isinstance(stored_details, list):
+        raise ParameterError("pyramid details must be a list of arrays")
+    levels = _int_field(obj, "levels", "pyramid")
+    if levels != len(stored_details):
+        raise ParameterError(
+            f"pyramid levels is {levels} but it holds {len(stored_details)} detail arrays"
+        )
     details = []
     size = coarse.size
-    for stored in obj["details"]:
+    for level, stored in enumerate(stored_details, start=1):
         size *= 2
-        arr = np.array([float(v) for v in stored])
+        arr = _finite_array(stored, f"pyramid detail level {level}")
         if obj.get("packed"):
+            if 2 * arr.size != size:
+                raise ShapeError(
+                    f"packed detail level {level} has length {arr.size}, expected {size // 2}"
+                )
             full = np.zeros(size)
             full[1::2] = arr
             arr = full
@@ -248,5 +314,9 @@ def write_json_atomic(path: str, obj) -> None:
 
 
 def load_json(path: str):
+    """Parse a JSON file; text that is not JSON raises :class:`ParameterError`."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            raise ParameterError(f"{path} is not valid JSON: {exc}") from None

@@ -34,7 +34,9 @@ from .errors import (
     ShapeError,
 )
 from .inverse import Kernel, even_inverse_spectral
-from .laurent import Mask, _signal, as_signal, circular_convolve, downsample, subdivide
+from .laurent import (
+    Mask, _signal, as_signal, circular_convolve, downsample, subdivide, symbol_on_circle,
+)
 
 __all__ = ["Pyramid", "decimate", "decompose_level", "decompose", "reconstruct", "threshold_details"]
 
@@ -87,11 +89,10 @@ class Pyramid:
 
 def _exact_decimate(ce: np.ndarray, ev: Mask, guard: float) -> np.ndarray:
     m = ce.size
-    z = np.exp(-2j * np.pi * np.arange(m // 2 + 1) / m)
-    vals = ev.symbol(z)
+    vals = symbol_on_circle(ev, m, half=True)
     bad = np.abs(vals) <= guard
     if np.any(bad):
-        where = complex(z[int(np.argmax(bad))])
+        where = complex(np.exp(-2j * np.pi * int(np.argmax(bad)) / m))
         raise DecimationSingularError(
             f"even symbol vanishes at the root of unity {where:.6f} (period {m})"
         )

@@ -206,3 +206,67 @@ def test_config_file_applies(tmp_path, quadratic_mask, capsys):
     bad = tmp_path / "bad_config.json"
     write_text_atomic(str(bad), json.dumps({"circle_samples": 100}) + "\n")
     assert run("--config", str(bad), "invert", "--mask", str(quadratic_mask)) == 1
+
+
+
+CUBIC = '{"offset": -2, "num": [1, 4, 6, 4, 1], "den": [8, 8, 8, 8, 8]}'
+PYRAMID = '{{"coarse": [{}, 1.0], "details": [[0.0, 0.0, 0.0, 0.0]], "levels": {}}}'
+
+
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        ("reconstruct --pyramid {p} --mask {m}", {"p": '{"coarse": [1.0,'}, "is not valid JSON"),
+        ("invert --mask {x}", {"x": '{"coeffs": [0.5, 1.0]}'}, "mask lacks the field 'offset'"),
+        ("--config {c} invert --mask {m}", {"c": '{"circle_samples": "x"}'},
+         "circle_samples must be int, got 'x'"),
+        ("--config {c} invert --mask {m}", {"c": "[16384]"}, "must be a JSON object"),
+        ("--config {c} invert --mask {m}", {"c": '{"inverse_tol": NaN}'},
+         "inverse_tol must be finite and > 0"),
+        ("reconstruct --pyramid {p} --mask {m}", {"p": PYRAMID.format("NaN", 1)},
+         "pyramid coarse holds a non-finite value"),
+        ("reconstruct --pyramid {p} --mask {m}", {"p": PYRAMID.format("0.5", 7)},
+         "pyramid levels is 7 but it holds 1 detail arrays"),
+        ("decompose --signal {s} --mask {m} --levels 1 --mode kernel --kernel {k}",
+         {"k": '{"offset": 0, "coeffs": [NaN], "tol": 1e-9}'},
+         "kernel coeffs holds a non-finite value"),
+        ("invert --mask {m} --tol nan", {}, "tol must be positive and finite"),
+        ("invert --mask {m} --tol 0", {}, "tol must be positive and finite"),
+        ("invert --mask {m} --tol inf", {}, "tol must be positive and finite"),
+    ],
+    ids=[
+        "malformed-json", "mask-without-offset", "config-type", "config-not-object",
+        "config-nan", "pyramid-nan", "pyramid-levels", "kernel-nan", "tol-nan", "tol-zero",
+        "tol-inf",
+    ],
+)
+def test_malformed_input_is_a_validation_error(tmp_path, capsys, argv, files, message):
+    files = {"m": CUBIC, "s": "1.0\n2.0\n3.0\n4.0\n", **files}
+    paths = {}
+    for key, text in files.items():
+        paths[key] = str(tmp_path / f"{key}.json")
+        (tmp_path / f"{key}.json").write_text(text)
+    out = tmp_path / "out.txt"
+    assert run(*argv.format(**paths).split(), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_malformed_pyramid_exits_without_traceback(tmp_path):
+    mask = tmp_path / "cubic.json"
+    mask.write_text(CUBIC)
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"coarse": [1.0,')
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "evenrev.cli", "reconstruct", "--pyramid", str(bad),
+         "--mask", str(mask)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: validation: {bad} is not valid JSON")
+    assert proc.stdout == ""

@@ -1,9 +1,12 @@
 """Even-inverse kernels, spectral inversion, certificates, closed-form norms."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+
+import evenrev.inverse
 
 from evenrev import (
     CertificateUnavailableError,
@@ -32,7 +35,7 @@ from evenrev import (
     verify_inverse,
 )
 from evenrev.inverse import SQRT2_RATIO, _periodized_inverse, _trim_kernel, inverse_residual_l1
-from evenrev.laurent import even_part, min_modulus_on_circle
+from evenrev.laurent import even_part, min_modulus_on_circle, symbol_on_circle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -229,6 +232,35 @@ def test_spectral_kernels_unchanged_above_rounding_floor(tol):
             got = even_inverse_spectral(mask, tol=tol, certify=False)
             assert got.offset == ref.offset, (n, nu)
             assert got.coeffs.tobytes() == ref.coeffs.tobytes(), (n, nu)
+
+
+def test_spectral_samples_its_even_symbol_once(monkeypatch):
+    alpha = pseudo_spline_mask(8, 1)  # symmetric even part: the certificate is kept
+    grid = max(16384, 4 * len(even_part(alpha).coeffs))
+    sizes = []
+
+    def counting(m, n, half=False):
+        sizes.append(n)
+        return symbol_on_circle(m, n, half)
+
+    monkeypatch.setattr(evenrev.inverse, "symbol_on_circle", counting)
+    kernel = even_inverse_spectral(alpha, tol=1e-12)
+    # the doubling loop stops far below the grid, so its calls are told apart by size
+    assert max(n for n in sizes if n != grid) < grid
+    assert sizes.count(grid) == 1  # one sampling serves the check and the certificate
+    monkeypatch.undo()
+    expected = decay_certificate(alpha)
+    assert kernel.certificate is not None
+    for field in dataclasses.fields(expected):
+        assert getattr(kernel.certificate, field.name) == getattr(expected, field.name), field.name
+
+
+def test_inverse_rejects_tol_not_positive_and_finite():
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            even_inverse_spectral(bspline_mask(4), tol=tol)
+        with pytest.raises(ParameterError):
+            even_inverse(bspline_mask(3), tol=tol)
 
 
 def test_even_inverse_dispatch():

@@ -1,5 +1,6 @@
 """Mask algebra and periodic-signal operator tests."""
 
+import cmath
 from fractions import Fraction as F
 
 import numpy as np
@@ -25,7 +26,7 @@ from evenrev import (
     upsample,
     upsample_mask,
 )
-from evenrev.laurent import Mask, abs_moment, unit_circle
+from evenrev.laurent import Mask, abs_moment, symbol_on_circle, unit_circle
 from evenrev.masks import bspline_mask
 
 
@@ -53,6 +54,16 @@ def naive_subdivide(mask, c):
         w = float(w)
         if w:
             out[(base + mask.offset + i) % (2 * n)] += w * c
+    return out
+
+
+def direct_circle_sum(mask, n):
+    """``sum_k m_k exp(-2*pi*i*j*k/n)`` for ``j < n``, one term at a time."""
+    out = np.zeros(n, dtype=complex)
+    for j in range(n):
+        for i, w in enumerate(mask.coeffs):
+            phase = (j * (mask.offset + i)) % n  # exact integer reduction of the angle
+            out[j] += float(w) * cmath.exp(-2j * cmath.pi * phase / n)
     return out
 
 
@@ -392,6 +403,37 @@ def test_periodic_operators_match_references(offset, coeffs, signal):
     assert np.max(np.abs(sub - naive_subdivide(m, c))) <= tol
     assert np.max(np.abs(sub - brute_subdivide(m, c))) <= tol
     assert np.max(np.abs(circular_convolve(m, c) - naive_circular_convolve(m, c))) <= tol
+
+
+# subnormal taps lose relative precision in any product, so the relative
+# bound below would measure float underflow rather than the primitive
+normal_float_taps = st.lists(
+    st.floats(-2, 2, allow_nan=False, allow_infinity=False, allow_subnormal=False),
+    min_size=1,
+    max_size=14,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-12, 12), st.one_of(normal_float_taps, fraction_taps), st.integers(1, 64))
+def test_symbol_on_circle_matches_direct_sum(offset, coeffs, n):
+    # supports of up to 14 taps at offsets up to 12 exceed the small grids
+    if not any(coeffs):
+        return
+    m = make_mask(offset, coeffs)
+    expected = direct_circle_sum(m, n)
+    tol = 1e-13 * norm_l1(m)
+    full = symbol_on_circle(m, n)
+    half = symbol_on_circle(m, n, half=True)
+    assert full.shape == (n,) and half.shape == (n // 2 + 1,)
+    assert np.max(np.abs(full - expected)) <= tol
+    assert np.max(np.abs(half - expected[: n // 2 + 1])) <= tol
+
+
+def test_symbol_on_circle_zero_mask_and_unit_circle_points():
+    assert np.array_equal(symbol_on_circle(Mask(0, ()), 8), np.zeros(8))
+    z = unit_circle(16)
+    assert np.max(np.abs(symbol_on_circle(make_mask(1, [1.0]), 16) - z)) < 1e-15
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,7 +7,14 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from evenrev import ParameterError, bspline_mask, decompose, make_mask, pseudo_spline_mask
+from evenrev import (
+    ParameterError,
+    ShapeError,
+    bspline_mask,
+    decompose,
+    make_mask,
+    pseudo_spline_mask,
+)
 from evenrev.inverse import DecayCertificate, Kernel, even_inverse_spectral
 from evenrev.serialize import (
     dump_json,
@@ -126,3 +133,86 @@ def test_write_text_atomic(tmp_path):
 def test_rational_json_layout():
     obj = mask_to_obj(make_mask(-1, [F(1, 4), F(3, 4)]))
     assert obj == {"offset": -1, "num": [1, 3], "den": [4, 4]}
+
+
+def _pyramid_obj(**changes):
+    pyr = decompose(np.linspace(-1, 1, 32), bspline_mask(4), 3)
+    obj = json.loads(dump_json(pyramid_to_obj(pyr)))
+    obj.update(changes)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"coarse": [0.5, float("nan"), 0.25, 0.0]}, "coarse holds a non-finite value"),
+        ({"details": [[0.0] * 8, [0.0] * 16, [float("inf")] + [0.0] * 31]}, "level 3 holds"),
+        ({"levels": 7}, "levels is 7 but it holds 3 detail arrays"),
+        ({"levels": "3"}, "field 'levels' must be an integer"),
+        ({"coarse": ["a", 1.0, 2.0, 3.0]}, "coarse must be a list of numbers"),
+        ({"details": {"1": []}}, "details must be a list"),
+    ],
+)
+def test_pyramid_obj_validation(changes, message):
+    with pytest.raises(ParameterError, match=message):
+        pyramid_from_obj(_pyramid_obj(**changes))
+
+
+def test_pyramid_obj_missing_field_and_packed_length():
+    obj = _pyramid_obj()
+    del obj["levels"]
+    with pytest.raises(ParameterError, match="lacks the field 'levels'"):
+        pyramid_from_obj(obj)
+    packed = _pyramid_obj(packed=True)  # full-length details where halves belong
+    with pytest.raises(ShapeError, match="packed detail level 1 has length 8, expected 4"):
+        pyramid_from_obj(packed)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"coeffs": [0.5, float("nan")]}, "kernel coeffs holds a non-finite value"),
+        ({"coeffs": [float("-inf")]}, "kernel coeffs holds a non-finite value"),
+        ({"tol": float("nan")}, "field 'tol' must be a finite number"),
+        ({"tol": float("inf")}, "field 'tol' must be a finite number"),
+        ({"tol": -1e-9}, "tol must be >= 0"),
+        ({"offset": 1.5}, "field 'offset' must be an integer"),
+        ({"coeffs": []}, "at least one coefficient"),
+    ],
+)
+def test_kernel_obj_validation(changes, message):
+    obj = kernel_to_obj(Kernel(-1, np.array([0.25, 1.0, 0.25]), 1e-9, "custom"))
+    obj.update(changes)
+    with pytest.raises(ParameterError, match=message):
+        kernel_from_obj(obj)
+
+
+def test_certificate_obj_missing_field():
+    obj = kernel_to_obj(even_inverse_spectral(bspline_mask(4), tol=1e-12))
+    del obj["certificate"]["kappa"]
+    with pytest.raises(ParameterError, match="certificate lacks the field 'kappa'"):
+        kernel_from_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"coeffs": [1.0, 2.0]}, "mask lacks the field 'offset'"),
+        ({"offset": "0", "coeffs": [1.0]}, "field 'offset' must be an integer"),
+        ({"offset": 0, "coeffs": [1.0, float("nan")]}, "mask coeffs holds a non-finite value"),
+        ({"offset": 0, "num": [1, 1], "den": [2, 0]}, "nonzero denominators"),
+        ({"offset": 0, "num": [1.5], "den": [2]}, "must be integers"),
+        ({"offset": 0, "num": [1]}, "mask lacks the field 'den'"),
+        ([1, 2, 3], "mask must be a JSON object"),
+    ],
+)
+def test_mask_obj_field_validation(obj, message):
+    with pytest.raises(ParameterError, match=message):
+        mask_from_obj(obj)
+
+
+def test_load_json_rejects_malformed_text(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"offset": 0, "coeffs": [1.0,')
+    with pytest.raises(ParameterError, match="broken.json is not valid JSON"):
+        load_json(str(path))

@@ -32,7 +32,7 @@ from evenrev import (
     upsample_mask,
 )
 from evenrev.laurent import circular_convolve
-from evenrev.transform import MODES
+from evenrev.transform import MODES, _exact_decimate
 
 
 def naive_kernel_decimate(kernel, c):
@@ -46,6 +46,20 @@ def naive_kernel_decimate(kernel, c):
             acc += w * ce[(k - (kernel.offset + i)) % m]
         out[k] = acc
     return out
+
+
+def naive_exact_decimate(ce, ev, guard):
+    """Fourier division with the symbol evaluated by ``exp`` and ``polyval``."""
+    m = ce.size
+    z = np.exp(-2j * np.pi * np.arange(m // 2 + 1) / m)
+    vals = ev.symbol(z)
+    bad = np.abs(vals) <= guard
+    if np.any(bad):
+        where = complex(z[int(np.argmax(bad))])
+        raise DecimationSingularError(
+            f"even symbol vanishes at the root of unity {where:.6f} (period {m})"
+        )
+    return np.fft.irfft(np.fft.rfft(ce) / vals, m)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +116,28 @@ def test_decimate_modes_agree_when_period_is_wide():
         a = decimate(c, mask, mode="exact")
         b = decimate(c, mask, mode="kernel", kernel=kern)
         assert np.max(np.abs(a - b)) < 1e-9
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 64, 1000])
+def test_exact_decimate_matches_naive_reference(m):
+    # even parts of up to 7 taps are longer than the smallest periods
+    rng = np.random.default_rng(m)
+    masks = list(catalog().values()) + [pseudo_spline_mask(12, 0), make_mask(-3, [0.1, 2.0, 0.4])]
+    for mask in masks:
+        ev = mask.polyphase[0]
+        ce = rng.uniform(-1, 1, m)
+        err = np.max(np.abs(_exact_decimate(ce, ev, 1e-9) - naive_exact_decimate(ce, ev, 1e-9)))
+        assert err <= 1e-13 * np.max(np.abs(ce))
+
+
+def test_exact_decimate_singular_message_matches_naive_reference():
+    ev = make_mask(0, [1.0, 1.0])  # 1 + z vanishes at z = -1
+    messages = []
+    for fn in (_exact_decimate, naive_exact_decimate):
+        with pytest.raises(DecimationSingularError) as info:
+            fn(np.ones(8), ev, 1e-9)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_decimate_odd_length_rejected():
