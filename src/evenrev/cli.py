@@ -18,6 +18,7 @@ import numpy as np
 from . import analysis, selftest, serialize
 from .errors import EvenRevError, ParameterError
 from .inverse import even_inverse
+from .laurent import subdivide
 from .masks import bspline_mask, dd_mask, pseudo_spline_mask
 from .transform import decompose, reconstruct, threshold_details
 
@@ -94,7 +95,24 @@ def _load_mask(path: str):
 
 def _load_signal(path: str) -> np.ndarray:
     with open(path) as fh:
-        return serialize.signal_from_csv_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParameterError(f"{path} is not a text file: {exc}") from None
+    return serialize.signal_from_csv_text(text)
+
+
+def _check_packable(pyramid, limits) -> None:
+    """Refuse ``--packed`` when a level's even details exceed its limit: packing drops them."""
+    leaks = [float(np.max(np.abs(d[::2]))) for d in pyramid.details]
+    over = [(leak, level, limit)
+            for level, (leak, limit) in enumerate(zip(leaks, limits), start=1) if leak > limit]
+    if over:
+        leak, level, limit = max(over)
+        raise ParameterError(
+            f"--packed would drop an even detail of {leak:.3g} at level {level} "
+            f"(allowed {limit:.3g}); write the pyramid without --packed"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +164,16 @@ def _cmd_decompose(args, cfg: RunConfig) -> int:
     pyramid = decompose(
         signal, mask, args.levels, mode=mode, kernel=kernel, mask_id=args.mask_id
     )
+    if args.packed:
+        # A kernel of residual tol leaves even details up to tol * max|c_l| at
+        # level l; c_l is rebuilt by re-synthesis.  Exact mode leaves rounding.
+        tol = kernel.tol if kernel is not None else 0.0
+        floor = 1e-10 * max(1.0, float(np.max(np.abs(signal))))
+        c, limits = pyramid.coarse, []
+        for d in pyramid.details:
+            c = subdivide(mask, c) + d
+            limits.append(1.01 * tol * float(np.max(np.abs(c))) + floor)
+        _check_packable(pyramid, limits)
     _emit(serialize.pyramid_to_obj(pyramid, packed=args.packed), args.out)
     return 0
 
@@ -160,6 +188,8 @@ def _cmd_reconstruct(args, cfg: RunConfig) -> int:
 def _cmd_compress(args, cfg: RunConfig) -> int:
     pyramid = serialize.pyramid_from_obj(serialize.load_json(args.pyramid))
     squeezed, kept, total = threshold_details(pyramid, args.eps)
+    if args.packed:
+        _check_packable(squeezed, [0.0] * squeezed.levels)
     _emit(serialize.pyramid_to_obj(squeezed, packed=args.packed), args.out)
     sys.stderr.write(f"kept {kept} of {total} detail entries\n")
     return 0

@@ -1,8 +1,9 @@
 """Stable on-disk formats: mask/kernel/pyramid JSON, signal CSV, reports.
 
-Floats are written with 17 significant decimal digits, which round-trips
-64-bit values exactly; rational masks are stored as parallel numerator and
-denominator arrays and round-trip losslessly.  All writers go through a
+JSON floats are written as their shortest round-trip ``repr`` and CSV
+samples with 17 significant decimal digits; both round-trip 64-bit values
+exactly.  Rational masks are stored as parallel numerator and denominator
+arrays and round-trip losslessly.  All writers go through a
 temp-file-plus-rename so readers never observe partial files.  Readers
 validate what they load: malformed JSON, a missing or mistyped field and a
 non-finite number raise :class:`~evenrev.errors.ParameterError` naming the
@@ -50,7 +51,7 @@ def fmt_float(x: float) -> str:
 
 
 def _float_list(values) -> list[float]:
-    return [float(v) for v in values]
+    return np.asarray(values, dtype=float).tolist()
 
 
 def _field(obj, key: str, what: str):
@@ -242,7 +243,7 @@ def pyramid_from_obj(obj: dict) -> Pyramid:
 
 def signal_to_csv_text(c) -> str:
     """One value per line, 17 significant digits."""
-    return "\n".join(fmt_float(v) for v in np.asarray(c, dtype=float)) + "\n"
+    return "\n".join(map("{:.17g}".format, np.asarray(c, dtype=float).tolist())) + "\n"
 
 
 def signal_from_csv_text(text: str) -> np.ndarray:
@@ -291,16 +292,48 @@ def rows_to_csv_text(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _encode(obj, pad: str) -> str:
+    """``json.dumps(obj, indent=2)`` for ``obj`` nested at indentation ``pad``.
+
+    A list of finite plain floats is one ``join`` of their ``repr``s, the text
+    ``json`` writes for each; every other scalar goes through ``json.dumps``,
+    and a dict with a key that is not a string through ``json.dumps`` whole.
+    """
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+            items = map(float.__repr__, obj)
+        else:
+            items = (_encode(v, inner) for v in obj)
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(k, str) for k in obj):
+            return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+        inner = pad + "  "
+        items = (f"{json.dumps(k)}: {_encode(v, inner)}" for k, v in obj.items())
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    return json.dumps(obj)
+
+
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+    """``json.dumps(obj, indent=2) + "\\n"``, character for character, but with
+    lists of floats formatted in C rather than item by item in Python."""
+    return _encode(obj, "") + "\n"
 
 
 def write_text_atomic(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so the target is never partial."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".evenrev-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; match a plain open()
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -233,11 +234,13 @@ PYRAMID = '{{"coarse": [{}, 1.0], "details": [[0.0, 0.0, 0.0, 0.0]], "levels": {
         ("invert --mask {m} --tol nan", {}, "tol must be positive and finite"),
         ("invert --mask {m} --tol 0", {}, "tol must be positive and finite"),
         ("invert --mask {m} --tol inf", {}, "tol must be positive and finite"),
+        ("decompose --signal {s} --mask {m} --levels 1", {"s": b"1.0\n\xff\xfe\n2.0\n"},
+         "s.json is not a text file"),
     ],
     ids=[
         "malformed-json", "mask-without-offset", "config-type", "config-not-object",
         "config-nan", "pyramid-nan", "pyramid-levels", "kernel-nan", "tol-nan", "tol-zero",
-        "tol-inf",
+        "tol-inf", "signal-not-text",
     ],
 )
 def test_malformed_input_is_a_validation_error(tmp_path, capsys, argv, files, message):
@@ -245,7 +248,7 @@ def test_malformed_input_is_a_validation_error(tmp_path, capsys, argv, files, me
     paths = {}
     for key, text in files.items():
         paths[key] = str(tmp_path / f"{key}.json")
-        (tmp_path / f"{key}.json").write_text(text)
+        (tmp_path / f"{key}.json").write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "out.txt"
     assert run(*argv.format(**paths).split(), "--out", str(out)) == 1
     err = capsys.readouterr().err
@@ -270,3 +273,102 @@ def test_malformed_pyramid_exits_without_traceback(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: validation: {bad} is not valid JSON")
     assert proc.stdout == ""
+
+
+def test_non_text_signal_exits_without_traceback(tmp_path):
+    mask = tmp_path / "cubic.json"
+    mask.write_text(CUBIC)
+    signal = tmp_path / "bad.csv"
+    signal.write_bytes(b"1.0\n\xff\xfe\n2.0\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "evenrev.cli", "decompose", "--signal", str(signal),
+         "--mask", str(mask), "--levels", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: validation: {signal} is not a text file")
+    assert proc.stdout == ""
+
+
+def _signal_file(tmp_path, n, seed):
+    path = tmp_path / "signal.csv"
+    values = np.random.default_rng(seed).uniform(-1, 1, n)
+    path.write_text("\n".join(format(v, ".17g") for v in values) + "\n")
+    return path
+
+
+def test_packed_refuses_leaking_even_details(tmp_path, capsys):
+    mask = tmp_path / "cubic.json"
+    mask.write_text(CUBIC)
+    delta = tmp_path / "delta.json"  # not the even-inverse of the cubic mask
+    delta.write_text('{"offset": 0, "coeffs": [1.0], "tol": 1e-12, "source": "custom", '
+                     '"certificate": null}')
+    out = tmp_path / "p.json"
+    assert run("decompose", "--signal", str(_signal_file(tmp_path, 256, 3)), "--mask", str(mask),
+               "--levels", "3", "--mode", "kernel", "--kernel", str(delta), "--packed",
+               "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: --packed would drop an even detail of ")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_compress_packed_refuses_nonzero_even_details(tmp_path, capsys):
+    mask = tmp_path / "cubic.json"
+    mask.write_text(CUBIC)
+    pyr = tmp_path / "p.json"
+    assert run("decompose", "--signal", str(_signal_file(tmp_path, 256, 4)), "--mask", str(mask),
+               "--levels", "3", "--out", str(pyr)) == 0
+    evens = [v for level in load_json(str(pyr))["details"] for v in level[::2]]
+    assert any(evens)  # exact mode leaves rounding noise at the even indices
+    out = tmp_path / "small.json"
+    assert run("compress", "--pyramid", str(pyr), "--eps", "0", "--packed", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: --packed would drop an even detail of ")
+    assert f"of {max(map(abs, evens)):.3g} at level" in err
+    assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_output_files_follow_the_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        assert run("mask", "--family", "bspline", "--order", "3", "--out", str(tmp_path / "m.json")) == 0
+        with open(tmp_path / "plain.json", "w"):
+            pass
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("m.json", "plain.json")}
+    assert modes == {0o666 & ~umask}
+
+
+def test_pipeline_files_are_json_dumps_text(tmp_path):
+    """Every JSON file the pipeline writes reads back to itself through ``json``."""
+    signal = _signal_file(tmp_path, 256, 6)
+    mask, kernel = tmp_path / "m.json", tmp_path / "k.json"
+    steps = [
+        ["mask", "--family", "bspline", "--order", "4", "--out", mask],
+        ["invert", "--mask", mask, "--tol", "1e-12", "--out", kernel],
+        ["decompose", "--signal", signal, "--mask", mask, "--levels", "4",
+         "--out", tmp_path / "exact.json"],
+        ["decompose", "--signal", signal, "--mask", mask, "--levels", "4", "--mode", "kernel",
+         "--kernel", kernel, "--packed", "--out", tmp_path / "packed.json"],
+        ["compress", "--pyramid", tmp_path / "exact.json", "--eps", "1e-3",
+         "--out", tmp_path / "small.json"],
+        ["compress", "--pyramid", tmp_path / "packed.json", "--eps", "1e-3", "--packed",
+         "--out", tmp_path / "small_packed.json"],
+        ["reconstruct", "--pyramid", tmp_path / "small_packed.json", "--mask", mask,
+         "--out", tmp_path / "back.csv"],
+    ]
+    for argv in steps:
+        assert run(*map(str, argv)) == 0
+    names = sorted(p.name for p in tmp_path.glob("*.json"))
+    assert names == ["exact.json", "k.json", "m.json", "packed.json", "small.json",
+                     "small_packed.json"]
+    for name in names:
+        text = (tmp_path / name).read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", name
+    back = (tmp_path / "back.csv").read_text()
+    assert back == "\n".join(format(float(v), ".17g") for v in back.split()) + "\n"

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from evenrev import (
     ParameterError,
@@ -216,3 +217,51 @@ def test_load_json_rejects_malformed_text(tmp_path):
     path.write_text('{"offset": 0, "coeffs": [1.0,')
     with pytest.raises(ParameterError, match="broken.json is not valid JSON"):
         load_json(str(path))
+
+
+def json_oracle(obj) -> str:
+    """The writer ``dump_json`` replaced, kept as the reference text."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6))
+JSON_LIKE = st.recursive(
+    st.one_of(SCALARS, st.lists(FINITE, max_size=8), st.lists(st.floats(), max_size=8)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_LIKE)
+@example([1.0, 2])
+@example([1.0, float("nan")])
+@example([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -float("inf")])
+@example({"": [], "é\u2603": {}, "k": [[], {}, ()]})
+@example({"a": {1: [0.5], 2.5: None, True: "t", None: {"b": [1.0]}}})
+@example((1.5, None, True, False, "x"))
+@example([np.float64(0.1), 2.5])
+@example({"details": [[0.5, -0.25], [1e-17, 3.0]], "packed": False})
+def test_dump_json_matches_json_dumps(obj):
+    assert dump_json(obj) == json_oracle(obj)
+
+
+@pytest.mark.parametrize("obj", [object(), [1.0, {1, 2}], {(1, 2): 3.0}, {"k": np.zeros(2)}])
+def test_dump_json_rejects_what_json_rejects(obj):
+    with pytest.raises(TypeError):
+        json_oracle(obj)
+    with pytest.raises(TypeError):
+        dump_json(obj)
+
+
+@given(st.lists(st.floats(), max_size=40))
+@example([-0.0, 5e-324, 0.1, 1 / 3, 1e300])
+def test_signal_csv_text_matches_17_digit_format(values):
+    want = "\n".join(format(float(v), ".17g") for v in values) + "\n"
+    assert signal_to_csv_text(values) == want
+    assert signal_to_csv_text(np.array(values, dtype=float)) == want
