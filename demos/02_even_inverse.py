@@ -17,6 +17,8 @@ from evenrev import (
     even_inverse_closed_cubic,
     even_inverse_closed_quadratic,
     even_inverse_spectral,
+    norm_l1,
+    norm_linf,
     pseudo_spline_mask,
     verify_inverse,
 )
@@ -30,7 +32,7 @@ closed = even_inverse_closed_quadratic(30)
 print(f"{'k':>3} {'spectral':>22} {'closed':>22}")
 for k in range(6):
     print(f"{k:>3} {spectral.coeff(k):22.16f} {closed.coeff(k):22.16f}")
-print(f"one norm {spectral.norm1():.12f} (limit 2), sup norm {spectral.norminf():.12f} (4/3)")
+print(f"one norm {norm_l1(spectral):.12f} (limit 2), sup norm {norm_linf(spectral):.12f} (4/3)")
 
 print("\nCubic spline: symmetric kernel with ratio -(3 - 2 sqrt 2) per step")
 spec_c = even_inverse_spectral(cubic, tol=1e-12)

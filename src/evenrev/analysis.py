@@ -98,8 +98,13 @@ def sample_function(kind: str, j: int, base: int = 2, params: dict | None = None
         raise ParameterError("base must be >= 2")
     if j < 0:
         raise ParameterError("resolution exponent must be >= 0")
+    size = base * 2 ** j
+    if size > np.iinfo(np.intp).max // 8:  # numpy refuses 8-byte arrays this long
+        raise ParameterError(
+            f"levels {j} with base {base} ask for {size} samples, more than an array can hold"
+        )
     f, _ = _build(kind, params)
-    t = np.arange(base * 2 ** j) / 2.0 ** j
+    t = np.arange(size) / 2.0 ** j
     return f(t)
 
 
@@ -129,8 +134,8 @@ def filter_moment_constants(alpha: Mask, kernel: Kernel) -> MomentConstants:
     bounds details by same-level differences.
     """
     k_alpha = abs_moment(alpha)
-    k_gamma = 2.0 * abs_moment(kernel.as_mask())
-    combined = k_gamma * norm_l1(alpha) + k_alpha * kernel.norm1()
+    k_gamma = 2.0 * abs_moment(kernel)
+    combined = k_gamma * norm_l1(alpha) + k_alpha * norm_l1(kernel)
     return MomentConstants(k_alpha, k_gamma, combined)
 
 
@@ -183,7 +188,7 @@ def decay_report(
     signal = sample_function(kind, levels, base, params)
     fprime = derivative_bound(kind, params)
     moments = filter_moment_constants(alpha, kernel)
-    g1 = kernel.norm1()
+    g1 = norm_l1(kernel)
 
     approx = signal
     delta_norms = {levels: float(np.max(np.abs(difference(approx))))}
@@ -233,7 +238,7 @@ def estimate_subdivision_sup_norm(alpha: Mask, max_power: int = 12) -> float:
     best = 1.0
     for j in range(1, max_power + 1):
         period = 1 << j
-        residues = (offset + np.arange(iterated.size)) % period
+        residues = (offset % period + np.arange(iterated.size)) % period
         sums = np.bincount(residues, np.abs(iterated), minlength=period)
         best = max(best, float(np.max(sums)))
         if j < max_power and taps.size:
@@ -313,6 +318,8 @@ def reconstruction_stability_experiment(
     """
     if perturbation < 0:
         raise ParameterError("perturbation must be nonnegative")
+    if trials < 1:  # an empty report would pass vacuously
+        raise ParameterError(f"trials must be >= 1, got {trials}")
     k_sub = estimate_subdivision_sup_norm(alpha) if sup_norm is None else sup_norm
     rng = np.random.default_rng(seed)
     base = reconstruct(pyramid, alpha)
@@ -355,13 +362,15 @@ def decomposition_stability_experiment(
     coarse-data inequality and the per-level detail inequalities, and
     records the worst measured-to-bound margin.
     """
+    if trials < 1:  # an empty report would pass vacuously
+        raise ParameterError(f"trials must be >= 1, got {trials}")
     if kernel is None:
         kernel = even_inverse_spectral(alpha)
     if p in (2, 2.0, "2"):
         d_norm = 1.0 / min_modulus_on_circle(even_part(alpha))
         s_norm = subdivision_norm_2(alpha)
     else:
-        d_norm = kernel.norm1() + kernel.tol
+        d_norm = norm_l1(kernel) + kernel.tol
         s_norm = subdivision_norm_inf(alpha)
     residual_norm = 1.0 + s_norm * d_norm
     rng = np.random.default_rng(seed)

@@ -6,7 +6,8 @@ downsampling undoes the even half of the upscaling step.  This module
 computes such kernels three ways -- closed forms for the quadratic and cubic
 spline masks, and spectral sampling of ``1/ev`` for everything else -- and
 certifies the exponential decay of their coefficients where a certificate is
-available.
+available.  A :class:`Kernel` is a :class:`~evenrev.laurent.Mask`, so the
+mask operators and norms of :mod:`evenrev.laurent` apply to it unchanged.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -77,9 +77,9 @@ class DecayCertificate:
         return self.K * self.lam ** abs(index)
 
 
-@dataclass(frozen=True, eq=False)
-class Kernel:
-    """Truncated inverse filter with a certified truncation budget.
+@dataclass(frozen=True)
+class Kernel(Mask):
+    """Truncated inverse filter: a float :class:`Mask` with a certified budget.
 
     ``coeffs[i]`` is the coefficient at index ``offset + i``.  The omitted
     tail has absolute mass at most ``tol`` and the residual
@@ -87,43 +87,9 @@ class Kernel:
     (up to float rounding when ``tol`` is below machine precision).
     """
 
-    offset: int
-    coeffs: np.ndarray
     tol: float
     source: str
     certificate: DecayCertificate | None = None
-
-    def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=float).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def support(self) -> range:
-        return range(self.offset, self.offset + self.coeffs.size)
-
-    def coeff(self, k: int) -> float:
-        i = k - self.offset
-        if 0 <= i < self.coeffs.size:
-            return float(self.coeffs[i])
-        return 0.0
-
-    def norm1(self) -> float:
-        return float(np.sum(np.abs(self.coeffs)))
-
-    def norminf(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
-    def sum(self) -> float:
-        return float(np.sum(self.coeffs))
-
-    @cached_property
-    def _mask(self) -> Mask:
-        return Mask(self.offset, tuple(self.coeffs.tolist()))
-
-    def as_mask(self) -> Mask:
-        """The coefficients as a float :class:`Mask`, built once per kernel."""
-        return self._mask
 
 
 class EvenReversibility(NamedTuple):
@@ -276,8 +242,8 @@ def even_inverse_spectral(
             max(np.max(np.abs(curr[: size // 4])), np.max(np.abs(curr[3 * size // 4 :])))
         )
         if drift < tol / 4.0 and edge < tol / 4.0:
-            kernel = _trim_kernel(curr, -(size // 2), tol)
-            residual = inverse_residual_l1(alpha, kernel)
+            trimmed = _trim_kernel(curr, -(size // 2), tol)
+            residual = inverse_residual_l1(alpha, trimmed)
             if residual > tol:
                 raise SlowDecayError(
                     f"inverse stabilised at {size} samples with residual "
@@ -287,14 +253,14 @@ def even_inverse_spectral(
             cert = _certificate(ev, vals, rev.min_modulus) if certify else None
             if cert is not None and not cert.hypothesis_met:
                 cert = None
-            return Kernel(kernel.offset, kernel.coeffs, tol, kernel.source, cert)
+            return Kernel(trimmed.offset, trimmed.coeffs, tol, "spectral", cert)
         prev = curr
     raise SlowDecayError(
         f"inverse coefficients did not stabilise below {tol:.1e} within {max_size} samples"
     )
 
 
-def _trim_kernel(values: np.ndarray, offset: int, tol: float) -> Kernel:
+def _trim_kernel(values: np.ndarray, offset: int, tol: float) -> Mask:
     """Drop edge coefficients while the discarded mass stays within budget."""
     lo, hi = 0, values.size
     budget = tol / 8.0
@@ -306,7 +272,7 @@ def _trim_kernel(values: np.ndarray, offset: int, tol: float) -> Kernel:
     while hi - 1 > lo and dropped + abs(values[hi - 1]) <= budget:
         dropped += abs(values[hi - 1])
         hi -= 1
-    return Kernel(offset + lo, values[lo:hi], tol, "spectral")
+    return Mask(offset + lo, values[lo:hi])
 
 
 def even_inverse(
@@ -445,20 +411,20 @@ def one_norm_bound_C(k: int, nu: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def verify_inverse(alpha: Mask, kernel: Kernel, samples: int = 16384) -> float:
+def verify_inverse(alpha: Mask, kernel: Mask, samples: int = 16384) -> float:
     """Max over the sampled circle of ``|ev(z) * g(z) - 1|``."""
     ev = alpha.polyphase[0]
-    n = max(samples, 4 * max(len(ev.coeffs), kernel.coeffs.size))
-    vals = symbol_on_circle(ev, n, half=True) * symbol_on_circle(kernel.as_mask(), n, half=True)
+    n = max(samples, 4 * max(len(ev.coeffs), len(kernel.coeffs)))
+    vals = symbol_on_circle(ev, n, half=True) * symbol_on_circle(kernel, n, half=True)
     return float(np.max(np.abs(vals - 1.0)))
 
 
-def inverse_residual_l1(alpha: Mask, kernel: Kernel) -> float:
+def inverse_residual_l1(alpha: Mask, kernel: Mask) -> float:
     """One-norm ``||g * ev - delta||_1`` of the finite convolution."""
     ev = alpha.polyphase[0]
     if ev.is_zero:
         raise EvenReversibilityError("mask has identically zero even part")
-    conv = np.convolve(np.asarray(kernel.coeffs), ev.floats)
+    conv = np.convolve(kernel.floats, ev.floats)
     pos = -(kernel.offset + ev.offset)  # index of the z**0 coefficient
     if 0 <= pos < conv.size:
         conv[pos] -= 1.0

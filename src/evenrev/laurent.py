@@ -1,17 +1,21 @@
 """Mask (Laurent coefficient sequence) algebra and periodic-signal operators.
 
-Two carriers appear throughout the package:
+The package has one coefficient carrier and one signal type:
 
 * :class:`Mask` -- a finitely supported coefficient sequence ``m`` with an
   integer offset.  Its symbol is the Laurent polynomial
   ``m(z) = sum_k m_k z**k`` evaluated on the complex unit circle.  Catalog
   masks keep exact :class:`fractions.Fraction` coefficients so closed-form
   identities can be checked without rounding; everything else is float.
+  Inverse filters are masks too: :class:`~evenrev.inverse.Kernel` is a
+  float ``Mask`` that also carries its truncation ``tol``, its ``source`` and
+  an optional decay certificate, so every operator here accepts it.
 
 * periodic signals -- one period of a bi-infinite periodic sequence, stored
   as a plain 1-D ``float64`` numpy array.  All indexing is modulo the period,
   which makes every convolution operator in this module circulant and every
-  symbol identity exact at the roots of unity.
+  symbol identity exact at the roots of unity.  Offsets are reduced modulo
+  the period with Python integers first, so any integer offset is valid.
 
 Conventions (used consistently everywhere):
 
@@ -85,7 +89,8 @@ class Mask:
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+        c = self.coeffs
+        coeffs = tuple(c.tolist() if isinstance(c, np.ndarray) else c)
         lo, hi = 0, len(coeffs)
         while lo < hi and coeffs[lo] == 0:
             lo += 1
@@ -302,8 +307,10 @@ def _periodic_convolve(offset: int, w: np.ndarray, c: np.ndarray) -> np.ndarray:
     if not w.size:
         return np.zeros(c.size)
     # wrap c once into the N + len(w) - 1 samples the sum reads; "wrap" folds
-    # every index, so a support longer than the period is handled as well
-    start = -offset - w.size + 1
+    # every index, so a support longer than the period is handled as well.
+    # Folding the start first keeps the indices small: "wrap" steps through
+    # one period at a time, and numpy cannot hold an offset beyond int64.
+    start = (-offset - w.size + 1) % c.size
     wrapped = c.take(np.arange(start, start + c.size + w.size - 1), mode="wrap")
     return np.convolve(wrapped, w, "valid")
 
@@ -348,7 +355,7 @@ def symbol_on_circle(m: Mask, n: int, half: bool = False) -> np.ndarray:
 
     With real coefficients ``m(z_{n-j})`` is the conjugate of ``m(z_j)``.
     """
-    folded = np.bincount((m.offset + np.arange(m.floats.size)) % n, m.floats, minlength=n)
+    folded = np.bincount((m.offset % n + np.arange(m.floats.size)) % n, m.floats, minlength=n)
     return np.fft.rfft(folded) if half else np.fft.fft(folded)
 
 
@@ -375,14 +382,12 @@ def min_modulus_on_circle(m: Mask, samples: int = 16384) -> float:
 
 def norm_l1(m: Mask) -> float:
     """Sum of absolute coefficient values."""
-    return float(sum(abs(float(c)) for c in m.coeffs))
+    return float(np.sum(np.abs(m.floats)))
 
 
 def norm_linf(m: Mask) -> float:
-    """Largest absolute coefficient value."""
-    if m.is_zero:
-        return 0.0
-    return float(max(abs(float(c)) for c in m.coeffs))
+    """Largest absolute coefficient value (0 for the zero mask)."""
+    return float(np.max(np.abs(m.floats), initial=0.0))
 
 
 def abs_moment(m: Mask) -> float:

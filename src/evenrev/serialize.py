@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import tempfile
 from fractions import Fraction
 
@@ -163,8 +164,7 @@ def _certificate_from_obj(obj) -> DecayCertificate | None:
 
 def kernel_to_obj(k: Kernel) -> dict:
     return {
-        "offset": k.offset,
-        "coeffs": _float_list(k.coeffs),
+        **mask_to_obj(k),
         "tol": float(k.tol),
         "source": k.source,
         "certificate": _certificate_to_obj(k.certificate),
@@ -326,16 +326,25 @@ def dump_json(obj) -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so the target is never partial."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    umask = os.umask(0)
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".evenrev-", suffix=".tmp")
+    """Write via a sibling temp file and rename, so the target is never partial.
+
+    As with a plain ``open(path, "w")``, a symlink is written through to the
+    file it names, an existing file keeps its permission bits, and a new
+    file gets ``0o666`` less the umask.
+    """
+    target = os.path.realpath(path)
+    try:
+        mode = stat.S_IMODE(os.stat(target).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".evenrev-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; match a plain open()
+            os.chmod(tmp, mode)  # mkstemp creates 0600
             fh.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

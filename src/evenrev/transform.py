@@ -17,7 +17,8 @@ Two decimation modes are provided:
   even-detail annihilation holds to machine precision.
 * ``"kernel"`` -- circular convolution with a truncated inverse
   :class:`~evenrev.inverse.Kernel`, matching the bi-infinite formulation and
-  exercising the truncation budget.
+  exercising the truncation budget.  A kernel is a mask, so this is the same
+  :func:`~evenrev.laurent.circular_convolve` that any mask goes through.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def decimate(
     if mode == "kernel":
         if kernel is None:
             kernel = even_inverse_spectral(alpha)
-        return circular_convolve(kernel.as_mask(), ce)
+        return circular_convolve(kernel, ce)
     ev = alpha.polyphase[0]
     if ev.offset == 0 and ev.floats.tolist() == [1.0]:
         return ce
@@ -185,8 +186,8 @@ def threshold_details(p: Pyramid, eps: float):
     Returns ``(pyramid, kept, total)`` where ``kept`` counts the detail
     entries still nonzero afterwards.
     """
-    if eps < 0:
-        raise ParameterError("threshold must be nonnegative")
+    if not eps >= 0:  # also refuses NaN, which no |d| < eps would ever catch
+        raise ParameterError(f"threshold must be nonnegative, got {eps!r}")
     kept = 0
     total = 0
     new_details = []

@@ -63,6 +63,13 @@ def test_sample_function_rejects_unknown_kind():
         sample_function("sine", 3, 1)  # base must be >= 2
 
 
+@pytest.mark.parametrize("levels, base", [(59, 2), (70, 2), (0, 10**20)])
+def test_sample_function_rejects_sizes_numpy_cannot_hold(levels, base):
+    # every size here is one numpy refuses before it allocates anything
+    with pytest.raises(ParameterError, match=f"levels {levels} with base {base} ask for"):
+        sample_function("sine", levels, base)
+
+
 # ---------------------------------------------------------------------------
 # moment constants
 # ---------------------------------------------------------------------------
@@ -182,6 +189,13 @@ def test_sup_norm_estimate_matches_dense_iteration():
         assert abs(estimate_subdivision_sup_norm(mask) - want) <= 1e-12 * want
 
 
+def test_sup_norm_estimate_ignores_far_offsets():
+    # a shift only permutes the residue classes; numpy never sees the offset
+    for mask in (bspline_mask(4), dd_mask(2)):
+        far = mask.shift(10**30 + 1)
+        assert estimate_subdivision_sup_norm(far) == estimate_subdivision_sup_norm(mask)
+
+
 def test_sup_norm_estimate_exceeds_one_for_dd():
     val = estimate_subdivision_sup_norm(dd_mask(2), 8)
     assert val >= subdivision_norm_inf(dd_mask(2)) - 1e-12
@@ -269,6 +283,17 @@ def test_decomposition_stability_cubic_l2_constant():
 def test_decomposition_stability_rejects_other_p():
     with pytest.raises(ParameterError):
         decomposition_stability_experiment(bspline_mask(3), p=3, trials=1)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_stability_experiments_need_a_trial(trials):
+    # an empty report would be vacuously all_ok
+    mask = bspline_mask(4)
+    _, pyr = _pyramid(mask)
+    with pytest.raises(ParameterError, match=f"trials must be >= 1, got {trials}"):
+        decomposition_stability_experiment(mask, trials=trials)
+    with pytest.raises(ParameterError, match=f"trials must be >= 1, got {trials}"):
+        reconstruction_stability_experiment(mask, pyr, 1e-3, trials)
 
 
 # ---------------------------------------------------------------------------

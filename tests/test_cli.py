@@ -236,11 +236,19 @@ PYRAMID = '{{"coarse": [{}, 1.0], "details": [[0.0, 0.0, 0.0, 0.0]], "levels": {
         ("invert --mask {m} --tol inf", {}, "tol must be positive and finite"),
         ("decompose --signal {s} --mask {m} --levels 1", {"s": b"1.0\n\xff\xfe\n2.0\n"},
          "s.json is not a text file"),
+        ("compress --pyramid {p} --eps nan", {"p": PYRAMID.format("0.5", 1)},
+         "threshold must be nonnegative, got nan"),
+        ("analyze compress --signal {s} --mask {m} --levels 1 --eps-grid 1e-3,nan", {},
+         "threshold must be nonnegative, got nan"),
+        ("analyze stability --mode dec --trials -3 --mask {m}", {}, "trials must be >= 1, got -3"),
+        ("analyze stability --mode rec --trials 0 --mask {m}", {}, "trials must be >= 1, got 0"),
+        ("analyze decay --levels 70 --mask {m}", {}, "levels 70 with base 2 ask for"),
     ],
     ids=[
         "malformed-json", "mask-without-offset", "config-type", "config-not-object",
         "config-nan", "pyramid-nan", "pyramid-levels", "kernel-nan", "tol-nan", "tol-zero",
-        "tol-inf", "signal-not-text",
+        "tol-inf", "signal-not-text", "compress-eps-nan", "eps-grid-nan", "stability-dec-trials",
+        "stability-rec-trials", "decay-levels-too-many",
     ],
 )
 def test_malformed_input_is_a_validation_error(tmp_path, capsys, argv, files, message):
@@ -372,3 +380,48 @@ def test_pipeline_files_are_json_dumps_text(tmp_path):
         assert text == json.dumps(json.loads(text), indent=2) + "\n", name
     back = (tmp_path / "back.csv").read_text()
     assert back == "\n".join(format(float(v), ".17g") for v in back.split()) + "\n"
+
+
+FAR = 10**30
+
+
+def test_far_offsets_run_or_fail_with_one_line(tmp_path, capsys):
+    # offsets beyond int64 reach numpy only after reduction modulo the period
+    far_mask = tmp_path / "far.json"
+    far_mask.write_text(CUBIC.replace('"offset": -2', f'"offset": {FAR}'))
+    far_kernel = tmp_path / "far_kernel.json"
+    far_kernel.write_text(f'{{"offset": {FAR}, "coeffs": [0.5, 1.0], "tol": 1e-9}}')
+    near_mask = tmp_path / "cubic.json"
+    near_mask.write_text(CUBIC)
+    signal = _signal_file(tmp_path, 16, 5)
+    pyr, out = tmp_path / "p.json", tmp_path / "out.csv"
+    assert run("decompose", "--signal", str(signal), "--mask", str(far_mask), "--levels", "2",
+               "--out", str(pyr)) == 0
+    assert run("reconstruct", "--pyramid", str(pyr), "--mask", str(far_mask),
+               "--out", str(out)) == 0
+    back = signal_from_csv_text(out.read_text())
+    assert np.max(np.abs(back - signal_from_csv_text(signal.read_text()))) < 1e-12
+    assert run("decompose", "--signal", str(signal), "--mask", str(near_mask), "--levels", "2",
+               "--mode", "kernel", "--kernel", str(far_kernel), "--out", str(pyr)) == 0
+    assert capsys.readouterr().err == ""
+    assert run("invert", "--mask", str(far_mask)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: ") and err.count("\n") == 1
+
+
+def test_output_through_a_symlink_updates_its_target(tmp_path):
+    target, link = tmp_path / "m.json", tmp_path / "link.json"
+    target.write_text("stale\n")
+    link.symlink_to(target.name)
+    assert run("mask", "--family", "bspline", "--order", "3", "--out", str(link)) == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert load_json(str(target))["num"] == [1, 3, 3, 1]
+
+
+def test_output_keeps_an_existing_files_mode(tmp_path):
+    target = tmp_path / "m.json"
+    target.write_text("old\n")
+    target.chmod(0o600)
+    assert run("mask", "--family", "bspline", "--order", "3", "--out", str(target)) == 0
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o600
+    assert load_json(str(target))["num"] == [1, 3, 3, 1]

@@ -28,6 +28,8 @@ from evenrev import (
     make_mask,
     min_evensymbol_dual,
     min_evensymbol_primal,
+    norm_l1,
+    norm_linf,
     one_norm_bound_C,
     pseudo_spline_gamma_norm2,
     pseudo_spline_mask,
@@ -35,7 +37,7 @@ from evenrev import (
     verify_inverse,
 )
 from evenrev.inverse import SQRT2_RATIO, _periodized_inverse, _trim_kernel, inverse_residual_l1
-from evenrev.laurent import even_part, min_modulus_on_circle, symbol_on_circle
+from evenrev.laurent import Mask, even_part, min_modulus_on_circle, symbol_on_circle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -85,7 +87,27 @@ def test_closed_quadratic_values():
 
 
 def test_closed_quadratic_one_norm_limit():
-    assert abs(even_inverse_closed_quadratic(40).norm1() - 2.0) < 1e-15
+    assert abs(norm_l1(even_inverse_closed_quadratic(40)) - 2.0) < 1e-15
+
+
+def test_kernels_are_masks():
+    kernels = [
+        even_inverse_closed_quadratic(12),
+        even_inverse_closed_cubic(8),
+        even_inverse_spectral(pseudo_spline_mask(6, 1)),
+        even_inverse(bspline_mask(4)),
+    ]
+    for k in kernels:
+        assert isinstance(k, Mask), k.source
+        assert not k.is_rational and k.coeffs == tuple(k.floats.tolist())
+
+
+def test_kernel_one_norm_is_the_numpy_sum():
+    # bit for bit the one-norm the kernel carried as a method of its own
+    for n in range(3, 13):
+        for nu in range(n // 2):
+            k = even_inverse_spectral(pseudo_spline_mask(n, nu), tol=1e-12)
+            assert norm_l1(k) == float(np.sum(np.abs(k.floats))), (n, nu)
 
 
 def test_closed_quadratic_residual_within_tail():
@@ -104,8 +126,8 @@ def test_closed_cubic_values():
 
 def test_closed_cubic_norms():
     k = even_inverse_closed_cubic(40)
-    assert abs(k.norm1() - 2.0) < 1e-12
-    assert abs(k.norminf() - SQRT2) < 1e-15
+    assert abs(norm_l1(k) - 2.0) < 1e-12
+    assert abs(norm_linf(k) - SQRT2) < 1e-15
 
 
 def test_closed_cubic_residual_within_tail():
@@ -231,7 +253,7 @@ def test_spectral_kernels_unchanged_above_rounding_floor(tol):
             ref = _doubling_reference(mask, tol)
             got = even_inverse_spectral(mask, tol=tol, certify=False)
             assert got.offset == ref.offset, (n, nu)
-            assert got.coeffs.tobytes() == ref.coeffs.tobytes(), (n, nu)
+            assert got.floats.tobytes() == ref.floats.tobytes(), (n, nu)
 
 
 def test_spectral_samples_its_even_symbol_once(monkeypatch):

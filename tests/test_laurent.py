@@ -448,3 +448,21 @@ def test_mask_is_hashable_and_immutable():
     assert hash(m) == hash(make_mask(0, [F(1, 2), F(1, 2)]))
     with pytest.raises(AttributeError):
         m.offset = 3
+
+
+@pytest.mark.parametrize("periods", [3, -(10**30), 10**30 + 1])
+def test_offsets_fold_modulo_the_period(periods):
+    # A shift by a multiple of the period is invisible on periodic signals,
+    # and numpy never sees the unreduced offset, however large it is.
+    rng = np.random.default_rng(17)
+    c = rng.uniform(-1, 1, 6)
+    n = c.size
+    for taps in (5, 15):  # supports shorter and longer than the period
+        m = make_mask(-2, rng.uniform(-1, 1, taps).tolist())
+        far = m.shift(n * periods)
+        assert circular_convolve(far, c).tobytes() == circular_convolve(m, c).tobytes()
+        for half in (False, True):
+            assert symbol_on_circle(far, n, half).tobytes() == symbol_on_circle(m, n, half).tobytes()
+        # an even shift of 2*n*k moves both polyphase parts by n*k
+        far = m.shift(2 * n * periods)
+        assert subdivide(far, c).tobytes() == subdivide(m, c).tobytes()

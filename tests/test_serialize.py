@@ -77,6 +77,22 @@ def test_kernel_roundtrip_without_certificate():
     assert np.array_equal(back.coeffs, kern.coeffs)
 
 
+def test_kernel_json_layout():
+    cert = DecayCertificate(2.0, 1, 0.25, 0.5, 3.5, True)
+    kern = Kernel(-1, np.array([0.25, 1.0, -0.125]), 1e-9, "custom", cert)
+    assert dump_json(kernel_to_obj(kern)) == (
+        '{\n  "offset": -1,\n  "coeffs": [\n    0.25,\n    1.0,\n    -0.125\n  ],\n'
+        '  "tol": 1e-09,\n  "source": "custom",\n  "certificate": {\n    "kappa": 2.0,\n'
+        '    "s": 1,\n    "q": 0.25,\n    "lambda": 0.5,\n    "K": 3.5,\n'
+        '    "hypothesis_met": true\n  }\n}\n'
+    )
+    spectral = even_inverse_spectral(pseudo_spline_mask(6, 1), tol=1e-12)
+    obj = kernel_to_obj(spectral)
+    assert list(obj) == ["offset", "coeffs", "tol", "source", "certificate"]
+    assert obj["offset"] == spectral.offset and obj["coeffs"] == spectral.floats.tolist()
+    assert obj["tol"] == 1e-12 and obj["source"] == "spectral"
+
+
 def test_certificate_fields_survive():
     cert = DecayCertificate(2.0, 1, 0.25, 0.25, 3.5, False)
     kern = Kernel(0, np.array([1.0]), 0.0, "custom", cert)

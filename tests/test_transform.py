@@ -108,6 +108,17 @@ def test_decimate_kernel_mode_matches_naive_oracle():
     assert np.max(np.abs(ours - naive_kernel_decimate(kern, c))) < 1e-13
 
 
+def test_decimate_kernel_is_a_mask_convolution():
+    # a Kernel is a Mask: kernel-mode decimation treats both alike, bit for bit
+    c = np.random.default_rng(43).uniform(-1, 1, 64)
+    mask = bspline_mask(4)
+    kern = even_inverse_spectral(mask, tol=1e-12)
+    plain = make_mask(kern.offset, kern.coeffs)
+    assert type(plain) is not type(kern)
+    ours = decimate(c, mask, mode="kernel", kernel=kern)
+    assert ours.tobytes() == decimate(c, mask, mode="kernel", kernel=plain).tobytes()
+
+
 def test_decimate_modes_agree_when_period_is_wide():
     rng = np.random.default_rng(9)
     c = rng.uniform(-1, 1, 512)
@@ -319,6 +330,13 @@ def test_threshold_negative_rejected():
     _, pyr = _sample_pyramid()
     with pytest.raises(ParameterError):
         threshold_details(pyr, -1.0)
+
+
+def test_threshold_nan_rejected():
+    # no |d| < nan holds, so a NaN threshold would silently keep every detail
+    _, pyr = _sample_pyramid()
+    with pytest.raises(ParameterError, match="threshold must be nonnegative, got nan"):
+        threshold_details(pyr, math.nan)
 
 
 # ---------------------------------------------------------------------------
