@@ -104,8 +104,12 @@ def sample_function(kind: str, j: int, base: int = 2, params: dict | None = None
             f"levels {j} with base {base} ask for {size} samples, more than an array can hold"
         )
     f, _ = _build(kind, params)
-    t = np.arange(size) / 2.0 ** j
-    return f(t)
+    try:
+        return f(np.arange(size) / 2.0 ** j)
+    except MemoryError:  # numpy accepts the size, but no memory holds it
+        raise ParameterError(
+            f"levels {j} with base {base} ask for {size} samples, more than memory can hold"
+        ) from None
 
 
 def derivative_bound(kind: str, params: dict | None = None) -> float:
@@ -323,18 +327,22 @@ def reconstruction_stability_experiment(
     k_sub = estimate_subdivision_sup_norm(alpha) if sup_norm is None else sup_norm
     rng = np.random.default_rng(seed)
     base = reconstruct(pyramid, alpha)
+    # row t holds trial t's draws in the order a trial at a time would make
+    # them: the coarse data first, then each detail level
+    sizes = [pyramid.coarse.size] + [d.size for d in pyramid.details]
+    noise = rng.uniform(-perturbation, perturbation, (trials, sum(sizes)))
+    dc, *dds = np.split(noise, np.cumsum(sizes)[:-1], axis=1)
+    perturbed = Pyramid(
+        pyramid.coarse + dc,
+        tuple(d + dd for d, dd in zip(pyramid.details, dds)),
+        pyramid.mask_id,
+    )
+    deviation = reconstruct(perturbed, alpha) - base
     rows = []
     for t in range(trials):
-        dc = rng.uniform(-perturbation, perturbation, pyramid.coarse.size)
-        dds = [rng.uniform(-perturbation, perturbation, d.size) for d in pyramid.details]
-        perturbed = Pyramid(
-            pyramid.coarse + dc,
-            tuple(d + dd for d, dd in zip(pyramid.details, dds)),
-            pyramid.mask_id,
-        )
-        measured = float(np.max(np.abs(reconstruct(perturbed, alpha) - base)))
+        measured = float(np.max(np.abs(deviation[t])))
         budget = k_sub * (
-            float(np.max(np.abs(dc))) + sum(float(np.max(np.abs(dd))) for dd in dds)
+            float(np.max(np.abs(dc[t]))) + sum(float(np.max(np.abs(dd[t]))) for dd in dds)
         )
         rows.append(StabilityTrial(t, measured, budget, measured <= budget + 1e-12))
     return StabilityReport(
@@ -374,20 +382,20 @@ def decomposition_stability_experiment(
         s_norm = subdivision_norm_inf(alpha)
     residual_norm = 1.0 + s_norm * d_norm
     rng = np.random.default_rng(seed)
+    # trial t draws its signal and then its noise, as one trial at a time would
+    draws = rng.uniform(-1.0, 1.0, (trials, 2, length))
+    c = draws[:, 0]
+    noise = draws[:, 1] * perturbation
+    both = decompose(np.concatenate([c, c + noise]), alpha, levels, mode=mode, kernel=kernel)
+    diffs = [both.coarse[trials:] - both.coarse[:trials]]
+    diffs += [d[trials:] - d[:trials] for d in both.details]
     rows = []
     for t in range(trials):
-        c = rng.uniform(-1.0, 1.0, length)
-        noise = rng.uniform(-1.0, 1.0, length) * perturbation
-        first = decompose(c, alpha, levels, mode=mode, kernel=kernel)
-        second = decompose(c + noise, alpha, levels, mode=mode, kernel=kernel)
-        din = _pnorm(noise, p)
-        checks = [(_pnorm(second.coarse - first.coarse, p), d_norm ** levels * din)]
+        din = _pnorm(noise[t], p)
+        checks = [(_pnorm(diffs[0][t], p), d_norm ** levels * din)]
         for level in range(1, levels + 1):
             checks.append(
-                (
-                    _pnorm(second.details[level - 1] - first.details[level - 1], p),
-                    residual_norm * d_norm ** (levels - level) * din,
-                )
+                (_pnorm(diffs[level][t], p), residual_norm * d_norm ** (levels - level) * din)
             )
         measured, bound = max(checks, key=lambda mb: mb[0] - mb[1])
         ok = all(m <= b + 1e-12 for m, b in checks)

@@ -228,13 +228,17 @@ def even_inverse_spectral(
             f"even symbol modulus {rev.min_modulus:.3e} at z={rev.witness:.6f} "
             f"is below the guard {guard:.1e}"
         )
+    # The periodized inverse is centred on index 0, so invert ev moved to the
+    # centre of its support there and move the kernel back by the same amount.
+    centre = (2 * ev.offset + len(ev.coeffs) - 1) // 2
+    centred = ev.shift(-centre)
     size = 64
     while 4 * len(ev.coeffs) > size:
         size *= 2
-    prev = _periodized_inverse(ev, size)
+    prev = _periodized_inverse(centred, size)
     while size < max_size:
         size *= 2
-        curr = _periodized_inverse(ev, size)
+        curr = _periodized_inverse(centred, size)
         half = prev.size // 2
         lo = size // 2 - half  # position of prev's index -half inside curr
         drift = float(np.max(np.abs(curr[lo : lo + prev.size] - prev)))
@@ -242,7 +246,7 @@ def even_inverse_spectral(
             max(np.max(np.abs(curr[: size // 4])), np.max(np.abs(curr[3 * size // 4 :])))
         )
         if drift < tol / 4.0 and edge < tol / 4.0:
-            trimmed = _trim_kernel(curr, -(size // 2), tol)
+            trimmed = _trim_kernel(curr, -(size // 2) - centre, tol)
             residual = inverse_residual_l1(alpha, trimmed)
             if residual > tol:
                 raise SlowDecayError(

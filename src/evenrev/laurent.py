@@ -12,10 +12,14 @@ The package has one coefficient carrier and one signal type:
   an optional decay certificate, so every operator here accepts it.
 
 * periodic signals -- one period of a bi-infinite periodic sequence, stored
-  as a plain 1-D ``float64`` numpy array.  All indexing is modulo the period,
-  which makes every convolution operator in this module circulant and every
-  symbol identity exact at the roots of unity.  Offsets are reduced modulo
-  the period with Python integers first, so any integer offset is valid.
+  as a ``float64`` numpy array along its last axis.  The operators take
+  ``(..., N)`` arrays and treat every leading index as its own signal, so a
+  batch of signals costs one call; a 1-D array is the case without leading
+  axes, and each row of a batch gets bit for bit the result it gets alone.
+  All indexing is modulo the period, which makes every convolution operator
+  in this module circulant and every symbol identity exact at the roots of
+  unity.  Offsets are reduced modulo the period with Python integers first,
+  so any integer offset is valid.
 
 Conventions (used consistently everywhere):
 
@@ -274,45 +278,53 @@ def upsample_mask(m: Mask, factor: int = 2) -> Mask:
 
 
 def _signal(values) -> np.ndarray:
-    """Validate one period of a periodic signal as float64, without copying."""
+    """Validate periodic signals (one period each, last axis) as float64, without copying."""
     c = np.asarray(values, dtype=float)
-    if c.ndim != 1 or c.size < 1:
-        raise LengthError("a periodic signal is a nonempty 1-D array")
+    if c.ndim < 1 or c.size < 1:
+        raise LengthError(
+            "a periodic signal is a nonempty array with its period along the last axis"
+        )
     return c
 
 
 def as_signal(values) -> np.ndarray:
-    """Validate and copy one period of a periodic signal as float64."""
+    """Validate and copy periodic signals (one period each, last axis) as float64."""
     return _signal(values).copy()
 
 
 def upsample(c) -> np.ndarray:
     """Interleave zeros: ``[a, b] -> [a, 0, b, 0]`` (period doubles)."""
     c = _signal(c)
-    out = np.zeros(2 * c.size)
-    out[::2] = c
+    out = np.zeros(c.shape[:-1] + (2 * c.shape[-1],))
+    out[..., ::2] = c
     return out
 
 
 def downsample(c) -> np.ndarray:
     """Keep even-index entries: ``[a, b, c, d] -> [a, c]`` (period halves)."""
     c = _signal(c)
-    if c.size % 2:
-        raise LengthError(f"downsampling needs an even period, got {c.size}")
-    return c[::2].copy()
+    if c.shape[-1] % 2:
+        raise LengthError(f"downsampling needs an even period, got {c.shape[-1]}")
+    return c[..., ::2].copy()
 
 
 def _periodic_convolve(offset: int, w: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``out_k = sum_i w_i c_{k-offset-i mod N}`` for a validated signal ``c``."""
+    """``out_k = sum_i w_i c_{k-offset-i mod N}`` along the last axis of validated ``c``."""
     if not w.size:
-        return np.zeros(c.size)
-    # wrap c once into the N + len(w) - 1 samples the sum reads; "wrap" folds
-    # every index, so a support longer than the period is handled as well.
+        return np.zeros(c.shape)
+    n = c.shape[-1]
+    # wrap each row once into the N + len(w) - 1 samples the sum reads; "wrap"
+    # folds every index, so a support longer than the period is handled as well.
     # Folding the start first keeps the indices small: "wrap" steps through
     # one period at a time, and numpy cannot hold an offset beyond int64.
-    start = (-offset - w.size + 1) % c.size
-    wrapped = c.take(np.arange(start, start + c.size + w.size - 1), mode="wrap")
-    return np.convolve(wrapped, w, "valid")
+    start = (-offset - w.size + 1) % n
+    wrapped = c.take(np.arange(start, start + n + w.size - 1), axis=-1, mode="wrap")
+    # One convolution over the rows laid end to end (np.convolve(a, w) is this
+    # correlation, less the argument checks).  Row r's outputs start where its
+    # wrapped samples do, and its first N read only that row, each the same
+    # length-L dot product as for the row alone.
+    full = np.correlate(wrapped.ravel(), w[::-1], "valid")
+    return np.ndarray(c.shape, full.dtype, full, 0, wrapped.strides)
 
 
 def circular_convolve(m: Mask, c) -> np.ndarray:
@@ -328,16 +340,16 @@ def subdivide(m: Mask, c) -> np.ndarray:
     """
     c = _signal(c)
     ev, od = m.polyphase
-    out = np.empty(2 * c.size)
-    out[0::2] = _periodic_convolve(ev.offset, ev.floats, c)
-    out[1::2] = _periodic_convolve(od.offset, od.floats, c)
+    out = np.empty(c.shape[:-1] + (2 * c.shape[-1],))
+    out[..., 0::2] = _periodic_convolve(ev.offset, ev.floats, c)
+    out[..., 1::2] = _periodic_convolve(od.offset, od.floats, c)
     return out
 
 
 def difference(c) -> np.ndarray:
     """Periodic forward difference ``(diff c)_k = c_{k+1} - c_k``."""
     c = _signal(c)
-    return np.roll(c, -1) - c
+    return np.roll(c, -1, axis=-1) - c
 
 
 # ---------------------------------------------------------------------------

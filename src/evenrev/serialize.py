@@ -197,8 +197,13 @@ def pyramid_to_obj(p: Pyramid, packed: bool = False) -> dict:
 
     With ``packed=True`` only the odd-index detail entries are stored (the
     lossless half-size layout valid when the even entries vanish); loading
-    re-inflates them with zero even entries.
+    re-inflates them with zero even entries.  Files hold one signal's pyramid,
+    so a batched pyramid is refused.
     """
+    if p.coarse.ndim != 1:
+        raise ParameterError(
+            f"a pyramid file holds one signal, got coarse data of shape {p.coarse.shape}"
+        )
     details = [d[1::2] if packed else d for d in p.details]
     return {
         "mask_id": p.mask_id,

@@ -19,6 +19,12 @@ Two decimation modes are provided:
   :class:`~evenrev.inverse.Kernel`, matching the bi-infinite formulation and
   exercising the truncation budget.  A kernel is a mask, so this is the same
   :func:`~evenrev.laurent.circular_convolve` that any mask goes through.
+
+Like the :mod:`~evenrev.laurent` operators, decimation, :func:`decompose`
+and :func:`reconstruct` work along the last axis of ``(..., N)`` arrays, so a
+:class:`Pyramid` may hold a batch of signals' pyramids (every detail has the
+coarse data's leading shape).  Pyramid files stay 1-D:
+:func:`~evenrev.serialize.pyramid_to_obj` refuses a batched pyramid.
 """
 
 from __future__ import annotations
@@ -48,8 +54,8 @@ MODES = ("exact", "kernel")
 class Pyramid:
     """Coarse approximation plus detail signals for each finer level.
 
-    ``details[l-1]`` holds level ``l`` (length ``len(coarse) * 2**l``); the
-    finest level comes last.
+    ``details[l-1]`` holds level ``l`` (period ``coarse.shape[-1] * 2**l``,
+    leading axes as ``coarse``); the finest level comes last.
     """
 
     coarse: np.ndarray
@@ -60,14 +66,13 @@ class Pyramid:
         coarse = as_signal(self.coarse)
         coarse.setflags(write=False)
         fixed = []
-        size = coarse.size
+        size = coarse.shape[-1]
         for i, d in enumerate(self.details):
             d = as_signal(d)
             size *= 2
-            if d.size != size:
-                raise ShapeError(
-                    f"detail level {i + 1} has length {d.size}, expected {size}"
-                )
+            expected = coarse.shape[:-1] + (size,)
+            if d.shape != expected:
+                raise ShapeError(f"detail level {i + 1} has shape {d.shape}, expected {expected}")
             d.setflags(write=False)
             fixed.append(d)
         object.__setattr__(self, "coarse", coarse)
@@ -79,17 +84,17 @@ class Pyramid:
 
     @property
     def fine_length(self) -> int:
-        return self.coarse.size * 2 ** self.levels
+        return self.coarse.shape[-1] * 2 ** self.levels
 
     def max_even_detail(self) -> float:
         """Largest detail magnitude at an even index, over all levels."""
         if not self.details:
             return 0.0
-        return max(float(np.max(np.abs(d[::2]))) for d in self.details)
+        return max(float(np.max(np.abs(d[..., ::2]))) for d in self.details)
 
 
 def _exact_decimate(ce: np.ndarray, ev: Mask, guard: float) -> np.ndarray:
-    m = ce.size
+    m = ce.shape[-1]
     vals = symbol_on_circle(ev, m, half=True)
     bad = np.abs(vals) <= guard
     if np.any(bad):
@@ -97,7 +102,7 @@ def _exact_decimate(ce: np.ndarray, ev: Mask, guard: float) -> np.ndarray:
         raise DecimationSingularError(
             f"even symbol vanishes at the root of unity {where:.6f} (period {m})"
         )
-    return np.fft.irfft(np.fft.rfft(ce) / vals, m)
+    return np.fft.irfft(np.fft.rfft(ce, axis=-1) / vals, m, axis=-1)
 
 
 def decimate(
@@ -115,8 +120,8 @@ def decimate(
     spectrally from ``alpha`` when not supplied).
     """
     c = _signal(c)
-    if c.size % 2:
-        raise LengthError(f"decimation needs an even period, got {c.size}")
+    if c.shape[-1] % 2:
+        raise LengthError(f"decimation needs an even period, got {c.shape[-1]}")
     if mode not in MODES:
         raise ParameterError(f"unknown decimation mode {mode!r}; use one of {MODES}")
     ce = downsample(c)
@@ -138,8 +143,8 @@ def decompose_level(
 ):
     """One analysis step: returns ``(coarse, detail)`` with ``detail`` full length."""
     coarse = decimate(c, alpha, mode=mode, kernel=kernel)  # validates c
-    detail = c - subdivide(alpha, coarse)
-    return coarse, detail
+    detail = subdivide(alpha, coarse)
+    return coarse, np.subtract(c, detail, out=detail)  # in place: one array less per level
 
 
 def decompose(
@@ -154,9 +159,10 @@ def decompose(
     c = _signal(c)
     if levels < 1:
         raise LevelError(f"need at least one level, got {levels}")
-    if c.size % (1 << levels) or c.size // (1 << levels) < 2:
+    n = c.shape[-1]
+    if n % (1 << levels) or n // (1 << levels) < 2:
         raise LevelError(
-            f"period {c.size} does not support {levels} halvings with >= 2 coarse samples"
+            f"period {n} does not support {levels} halvings with >= 2 coarse samples"
         )
     if mode == "kernel" and kernel is None:
         kernel = even_inverse_spectral(alpha)
@@ -176,7 +182,8 @@ def reconstruct(p: Pyramid, alpha: Mask) -> np.ndarray:
     """
     c = np.asarray(p.coarse, dtype=float)
     for d in p.details:
-        c = subdivide(alpha, c) + d
+        c = subdivide(alpha, c)
+        c += d  # in place: one array less per level
     return c
 
 

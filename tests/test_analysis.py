@@ -8,6 +8,7 @@ import pytest
 from evenrev import (
     ParameterError,
     bspline_mask,
+    catalog,
     compression_experiment,
     dd_mask,
     decay_report,
@@ -23,7 +24,7 @@ from evenrev import (
     sample_function,
     subdivide,
 )
-from evenrev.analysis import subdivision_norm_2, subdivision_norm_inf
+from evenrev.analysis import StabilityTrial, subdivision_norm_2, subdivision_norm_inf
 from evenrev.inverse import SQRT2_RATIO
 from evenrev.laurent import convolve, difference, upsample_mask
 from evenrev.transform import Pyramid
@@ -283,6 +284,81 @@ def test_decomposition_stability_cubic_l2_constant():
 def test_decomposition_stability_rejects_other_p():
     with pytest.raises(ParameterError):
         decomposition_stability_experiment(bspline_mask(3), p=3, trials=1)
+
+
+def _pnorm_oracle(x, p):
+    return float(np.linalg.norm(x)) if p == 2 else float(np.max(np.abs(x)))
+
+
+def decomposition_trials_by_loop(alpha, p, trials, seed, mode, kernel, constants):
+    """Each trial decomposes its signal and the perturbed signal on their own."""
+    length, levels, perturbation = 256, 6, 1e-3
+    d_norm, residual_norm = constants["decimation_norm"], constants["residual_norm"]
+    rng = np.random.default_rng(seed)
+    rows = []
+    for t in range(trials):
+        c = rng.uniform(-1.0, 1.0, length)
+        noise = rng.uniform(-1.0, 1.0, length) * perturbation
+        first = decompose(c, alpha, levels, mode=mode, kernel=kernel)
+        second = decompose(c + noise, alpha, levels, mode=mode, kernel=kernel)
+        din = _pnorm_oracle(noise, p)
+        checks = [(_pnorm_oracle(second.coarse - first.coarse, p), d_norm ** levels * din)]
+        for level in range(1, levels + 1):
+            checks.append(
+                (
+                    _pnorm_oracle(second.details[level - 1] - first.details[level - 1], p),
+                    residual_norm * d_norm ** (levels - level) * din,
+                )
+            )
+        measured, bound = max(checks, key=lambda mb: mb[0] - mb[1])
+        ok = all(m <= b + 1e-12 for m, b in checks)
+        rows.append(StabilityTrial(t, measured, bound, ok))
+    return tuple(rows)
+
+
+def reconstruction_trials_by_loop(alpha, pyramid, perturbation, trials, seed, k_sub):
+    """Each trial perturbs and reconstructs one pyramid on its own."""
+    rng = np.random.default_rng(seed)
+    base = reconstruct(pyramid, alpha)
+    rows = []
+    for t in range(trials):
+        dc = rng.uniform(-perturbation, perturbation, pyramid.coarse.size)
+        dds = [rng.uniform(-perturbation, perturbation, d.size) for d in pyramid.details]
+        perturbed = Pyramid(
+            pyramid.coarse + dc,
+            tuple(d + dd for d, dd in zip(pyramid.details, dds)),
+            pyramid.mask_id,
+        )
+        measured = float(np.max(np.abs(reconstruct(perturbed, alpha) - base)))
+        budget = k_sub * (
+            float(np.max(np.abs(dc))) + sum(float(np.max(np.abs(dd))) for dd in dds)
+        )
+        rows.append(StabilityTrial(t, measured, budget, measured <= budget + 1e-12))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("p", [2, "inf"])
+def test_decomposition_stability_matches_the_per_trial_loop(p):
+    for name, mask in catalog().items():
+        kernel = even_inverse_spectral(mask)
+        for mode in ("exact", "kernel"):
+            report = decomposition_stability_experiment(
+                mask, p=p, trials=20, seed=11, mode=mode, kernel=kernel
+            )
+            expected = decomposition_trials_by_loop(
+                mask, p, 20, 11, mode, kernel, report.constants
+            )
+            assert report.trials == expected, (name, mode)
+
+
+@pytest.mark.parametrize("perturbation", [0.0, 1e-3])
+def test_reconstruction_stability_matches_the_per_trial_loop(perturbation):
+    for name, mask in catalog().items():
+        _, pyr = _pyramid(mask)
+        report = reconstruction_stability_experiment(mask, pyr, perturbation, 20, seed=4)
+        k_sub = report.constants["sup_norm"]
+        expected = reconstruction_trials_by_loop(mask, pyr, perturbation, 20, 4, k_sub)
+        assert report.trials == expected, name
 
 
 @pytest.mark.parametrize("trials", [0, -3])

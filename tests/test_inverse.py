@@ -256,6 +256,17 @@ def test_spectral_kernels_unchanged_above_rounding_floor(tol):
             assert got.floats.tobytes() == ref.floats.tobytes(), (n, nu)
 
 
+@pytest.mark.parametrize("shift", [2, 64, 1000, 10**30])
+def test_spectral_kernel_of_a_shifted_mask_moves_back(shift):
+    # alpha(z) z**(2 s) has even part ev(z) z**s, whose inverse is g(z) z**-s
+    for alpha in (bspline_mask(4), pseudo_spline_mask(7, 2)):
+        near = even_inverse_spectral(alpha)
+        far = even_inverse_spectral(alpha.shift(2 * shift))
+        assert far.offset == near.offset - shift
+        assert far.floats.tobytes() == near.floats.tobytes()
+        assert inverse_residual_l1(alpha.shift(2 * shift), far) <= far.tol
+
+
 def test_spectral_samples_its_even_symbol_once(monkeypatch):
     alpha = pseudo_spline_mask(8, 1)  # symmetric even part: the certificate is kept
     grid = max(16384, 4 * len(even_part(alpha).coeffs))

@@ -187,6 +187,21 @@ def test_downsample():
         downsample([1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("bad", [np.float64(1.0), [], np.zeros((3, 0)), np.zeros((0, 4))])
+def test_signal_needs_a_nonempty_last_axis(bad):
+    for op in (upsample, difference, lambda c: subdivide(bspline_mask(3), c)):
+        with pytest.raises(LengthError, match="nonempty array with its period along the last axis"):
+            op(bad)
+
+
+def test_sampling_operators_work_along_the_last_axis():
+    c = np.arange(12.0).reshape(2, 3, 2)
+    assert np.array_equal(downsample(upsample(c)), c)
+    assert np.array_equal(downsample(c), c[..., ::2])
+    rows = np.stack([difference(r) for r in c.reshape(-1, 2)])
+    assert np.array_equal(difference(c), rows.reshape(c.shape))
+
+
 def test_down_up_roundtrip():
     c = np.array([1.0, 2.0, 3.0])
     assert np.array_equal(downsample(upsample(c)), c)

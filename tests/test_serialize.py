@@ -111,6 +111,14 @@ def test_pyramid_roundtrip_full():
         assert np.array_equal(a, b)
 
 
+def test_pyramid_file_refuses_a_batched_pyramid():
+    rng = np.random.default_rng(2)
+    pyr = decompose(rng.uniform(-1, 1, (3, 64)), bspline_mask(4), 3)
+    for packed in (False, True):
+        with pytest.raises(ParameterError, match=r"one signal, got coarse data of shape \(3, 8\)"):
+            pyramid_to_obj(pyr, packed=packed)
+
+
 def test_pyramid_roundtrip_packed():
     rng = np.random.default_rng(1)
     c = rng.uniform(-1, 1, 64)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evenrev import (
     DecimationSingularError,
@@ -350,6 +351,10 @@ def test_pyramid_shape_validation():
     pyr = Pyramid(np.zeros(4), (np.zeros(8), np.zeros(16)))
     assert pyr.levels == 2
     assert pyr.fine_length == 16
+    # a batch needs the coarse data's leading shape in every detail
+    with pytest.raises(ShapeError, match=r"has shape \(3, 8\), expected \(2, 8\)"):
+        Pyramid(np.zeros((2, 4)), (np.zeros((3, 8)),))
+    assert Pyramid(np.zeros((2, 4)), (np.zeros((2, 8)),)).fine_length == 8
 
 
 def test_pyramid_is_immutable():
@@ -360,3 +365,57 @@ def test_pyramid_is_immutable():
 
 def test_max_even_detail_empty():
     assert Pyramid(np.zeros(4), ()).max_even_detail() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# batches along the last axis
+# ---------------------------------------------------------------------------
+
+float_taps = st.lists(
+    st.floats(-2, 2, allow_nan=False, allow_infinity=False), min_size=1, max_size=14
+)
+fraction_taps = st.lists(st.fractions(-4, 4, max_denominator=8), min_size=1, max_size=14)
+
+
+def _same_as_rows(f, x):
+    """``f(x)`` is bit for bit ``f`` of each period of ``x``, stacked."""
+    rows = x.reshape(-1, x.shape[-1])
+    try:
+        want = [f(r) for r in rows]
+    except DecimationSingularError:
+        with pytest.raises(DecimationSingularError):
+            f(x)
+        return
+    got = f(x)
+    if isinstance(got, Pyramid):
+        pairs = [(got.coarse, [p.coarse for p in want])]
+        pairs += [(d, [p.details[i] for p in want]) for i, d in enumerate(got.details)]
+    else:
+        pairs = [(got, want)]
+    for arr, parts in pairs:
+        stacked = np.stack(parts).reshape(x.shape[:-1] + parts[0].shape)
+        assert arr.shape == stacked.shape and arr.tobytes() == stacked.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(-12, 12),
+    st.one_of(float_taps, fraction_taps),
+    st.sampled_from([(1,), (3,), (2, 3)]),
+    st.integers(1, 3),
+    st.integers(2, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_batched_operators_equal_stacked_rows(offset, coeffs, lead, levels, coarse, seed):
+    # up to 14 taps against coarse periods down to 2 wrap several times
+    if not any(coeffs):
+        return
+    m = make_mask(offset, coeffs)
+    kernel = Kernel(offset - 3, m.floats[::-1], 1e-9, "test")  # any float mask can serve
+    x = np.random.default_rng(seed).uniform(-1, 1, lead + (coarse << levels,))
+    _same_as_rows(lambda c: circular_convolve(m, c), x)
+    _same_as_rows(lambda c: subdivide(m, c), x)
+    for mode, kern in (("exact", None), ("kernel", kernel)):
+        _same_as_rows(lambda c: decimate(c, m, mode=mode, kernel=kern), x)
+        _same_as_rows(lambda c: decompose(c, m, levels, mode=mode, kernel=kern), x)
+        _same_as_rows(lambda c: reconstruct(decompose(c, m, levels, mode=mode, kernel=kern), m), x)
