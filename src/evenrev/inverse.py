@@ -265,18 +265,17 @@ def even_inverse_spectral(
 
 
 def _trim_kernel(values: np.ndarray, offset: int, tol: float) -> Mask:
-    """Drop edge coefficients while the discarded mass stays within budget."""
-    lo, hi = 0, values.size
+    """Drop edge coefficients while the discarded mass stays within budget.
+
+    Each edge drops the longest run whose running sum of magnitudes stays
+    within ``tol/8``, keeping at least one coefficient; ``np.cumsum`` adds in
+    order, so the sums are those of a loop from that edge.
+    """
     budget = tol / 8.0
-    dropped = 0.0
-    while lo < hi - 1 and dropped + abs(values[lo]) <= budget:
-        dropped += abs(values[lo])
-        lo += 1
-    dropped = 0.0
-    while hi - 1 > lo and dropped + abs(values[hi - 1]) <= budget:
-        dropped += abs(values[hi - 1])
-        hi -= 1
-    return Mask(offset + lo, values[lo:hi])
+    mags = np.abs(values)
+    lo = min(int(np.searchsorted(np.cumsum(mags), budget, "right")), values.size - 1)
+    dropped = int(np.searchsorted(np.cumsum(mags[:lo:-1]), budget, "right"))
+    return Mask(offset + lo, values[lo : values.size - dropped])
 
 
 def even_inverse(
@@ -345,8 +344,12 @@ def _certificate(ev, vals, mn, guard=1e-9, require_positive=False) -> DecayCerti
         raise CertificateUnavailableError(
             f"even symbol modulus reaches {mn:.3e}; no summable inverse"
         )
+    # Only a support centred on 0 can be real on the circle, and its imaginary
+    # part then has degree below n/8: zero on the n-point grid is zero everywhere.
     positive = bool(
-        np.max(np.abs(vals.imag)) <= 1e-12 * max(1.0, mx) and np.min(vals.real) > guard
+        2 * ev.offset + len(ev.coeffs) - 1 == 0
+        and np.max(np.abs(vals.imag)) <= 1e-12 * max(1.0, mx)
+        and np.min(vals.real) > guard
     )
     if require_positive and not positive:
         raise CertificateUnavailableError(

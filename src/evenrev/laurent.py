@@ -32,7 +32,8 @@ Conventions (used consistently everywhere):
 
 Upscaling runs in polyphase form, ``(S_m c)_{2k} = (ev * c)_k`` and
 ``(S_m c)_{2k+1} = (od * c)_k``: two short periodic convolutions at the coarse
-period, computed by the same primitive as :func:`circular_convolve`.
+period by the primitive of :func:`circular_convolve`, which wraps each row by
+slicing (one ``np.concatenate``) and correlates the rows laid end to end.
 
 Symbols are sampled on the circle only by :func:`symbol_on_circle`, at the
 points ``z_j = exp(-2*pi*i*j/n)`` of :func:`unit_circle`: ``z_j**k`` depends on
@@ -313,12 +314,13 @@ def _periodic_convolve(offset: int, w: np.ndarray, c: np.ndarray) -> np.ndarray:
     if not w.size:
         return np.zeros(c.shape)
     n = c.shape[-1]
-    # wrap each row once into the N + len(w) - 1 samples the sum reads; "wrap"
-    # folds every index, so a support longer than the period is handled as well.
-    # Folding the start first keeps the indices small: "wrap" steps through
-    # one period at a time, and numpy cannot hold an offset beyond int64.
+    # Wrap each row once into the N + len(w) - 1 samples the sum reads: the
+    # tail from the folded start, whole periods, then a head, laid end to end
+    # by slicing.  Whole periods cover a support longer than the period, and
+    # folding the start with Python ints first admits any integer offset.
     start = (-offset - w.size + 1) % n
-    wrapped = c.take(np.arange(start, start + n + w.size - 1), axis=-1, mode="wrap")
+    whole, rest = divmod(start + w.size - 1, n)
+    wrapped = np.concatenate([c[..., start:], *[c] * whole, c[..., :rest]], axis=-1)
     # One convolution over the rows laid end to end (np.convolve(a, w) is this
     # correlation, less the argument checks).  Row r's outputs start where its
     # wrapped samples do, and its first N read only that row, each the same

@@ -247,8 +247,9 @@ def pyramid_from_obj(obj: dict) -> Pyramid:
 
 
 def signal_to_csv_text(c) -> str:
-    """One value per line, 17 significant digits."""
-    return "\n".join(map("{:.17g}".format, np.asarray(c, dtype=float).tolist())) + "\n"
+    """One value per line, 17 significant digits (a lone newline when empty)."""
+    values = np.asarray(c, dtype=float).tolist()
+    return ("%.17g\n" * len(values)) % tuple(values) or "\n"
 
 
 def signal_from_csv_text(text: str) -> np.ndarray:

@@ -13,7 +13,8 @@ or wrong, which the tests exploit.
 Two decimation modes are provided:
 
 * ``"exact"`` -- divide by the even symbol at the roots of unity (discrete
-  Fourier division).  On the periodic model this is the exact inverse, so
+  Fourier division, sampled once per :func:`decompose` at its finest coarse
+  period).  On the periodic model this is the exact inverse, so
   even-detail annihilation holds to machine precision.
 * ``"kernel"`` -- circular convolution with a truncated inverse
   :class:`~evenrev.inverse.Kernel`, matching the bi-infinite formulation and
@@ -93,8 +94,8 @@ class Pyramid:
         return max(float(np.max(np.abs(d[..., ::2]))) for d in self.details)
 
 
-def _exact_decimate(ce: np.ndarray, ev: Mask, guard: float) -> np.ndarray:
-    m = ce.shape[-1]
+def _even_values(ev: Mask, m: int, guard: float) -> np.ndarray:
+    """``ev(z_j)``, ``j = 0 .. m/2``, at period ``m``; raises where one is within ``guard`` of 0."""
     vals = symbol_on_circle(ev, m, half=True)
     bad = np.abs(vals) <= guard
     if np.any(bad):
@@ -102,7 +103,19 @@ def _exact_decimate(ce: np.ndarray, ev: Mask, guard: float) -> np.ndarray:
         raise DecimationSingularError(
             f"even symbol vanishes at the root of unity {where:.6f} (period {m})"
         )
-    return np.fft.irfft(np.fft.rfft(ce, axis=-1) / vals, m, axis=-1)
+    return vals
+
+
+def _divide(ce: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    return np.fft.irfft(np.fft.rfft(ce, axis=-1) / vals, ce.shape[-1], axis=-1)
+
+
+def _exact_decimate(ce: np.ndarray, ev: Mask, guard: float) -> np.ndarray:
+    return _divide(ce, _even_values(ev, ce.shape[-1], guard))
+
+
+def _interpolatory(ev: Mask) -> bool:
+    return ev.offset == 0 and ev.floats.tolist() == [1.0]
 
 
 def decimate(
@@ -130,9 +143,15 @@ def decimate(
             kernel = even_inverse_spectral(alpha)
         return circular_convolve(kernel, ce)
     ev = alpha.polyphase[0]
-    if ev.offset == 0 and ev.floats.tolist() == [1.0]:
+    if _interpolatory(ev):
         return ce
     return _exact_decimate(ce, ev, guard)
+
+
+def _analysis_step(c: np.ndarray, alpha: Mask, coarse: np.ndarray):
+    """``(coarse, c - S_alpha(coarse))`` from already decimated ``coarse``."""
+    detail = subdivide(alpha, coarse)
+    return coarse, np.subtract(c, detail, out=detail)  # in place: one array less per level
 
 
 def decompose_level(
@@ -142,9 +161,7 @@ def decompose_level(
     kernel: Kernel | None = None,
 ):
     """One analysis step: returns ``(coarse, detail)`` with ``detail`` full length."""
-    coarse = decimate(c, alpha, mode=mode, kernel=kernel)  # validates c
-    detail = subdivide(alpha, coarse)
-    return coarse, np.subtract(c, detail, out=detail)  # in place: one array less per level
+    return _analysis_step(c, alpha, decimate(c, alpha, mode=mode, kernel=kernel))
 
 
 def decompose(
@@ -166,9 +183,15 @@ def decompose(
         )
     if mode == "kernel" and kernel is None:
         kernel = even_inverse_spectral(alpha)
+    ev = alpha.polyphase[0]
+    vals = _even_values(ev, n // 2, 1e-9) if mode == "exact" and not _interpolatory(ev) else None
     details = []
-    for _ in range(levels):
-        c, d = decompose_level(c, alpha, mode=mode, kernel=kernel)
+    for level in range(levels):
+        if vals is None:
+            coarse = decimate(c, alpha, mode=mode, kernel=kernel)
+        else:  # period m/2's points are period m's even-indexed ones: every 2**l-th
+            coarse = _divide(downsample(c), vals[:: 1 << level])
+        c, d = _analysis_step(c, alpha, coarse)
         details.append(d)
     details.reverse()  # store coarsest-level detail first
     return Pyramid(c, tuple(details), mask_id)

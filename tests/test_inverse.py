@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import evenrev.inverse
 
@@ -224,6 +225,38 @@ def test_spectral_tol_below_rounding_floor_names_residual():
         even_inverse_spectral(pseudo_spline_mask(11, 0), tol=1e-14)
 
 
+def trim_kernel_loop(values, offset, tol):
+    """Edge trimming one coefficient at a time, summing the dropped mass in order."""
+    lo, hi = 0, values.size
+    budget = tol / 8.0
+    dropped = 0.0
+    while lo < hi - 1 and dropped + abs(values[lo]) <= budget:
+        dropped += abs(values[lo])
+        lo += 1
+    dropped = 0.0
+    while hi - 1 > lo and dropped + abs(values[hi - 1]) <= budget:
+        dropped += abs(values[hi - 1])
+        hi -= 1
+    return Mask(offset + lo, values[lo:hi])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-1e-3, 1e-3, allow_subnormal=False), min_size=1, max_size=40),
+    st.sampled_from([1e-30, 1e-12, 1e-6, 1e-3, 1.0, 1e3]),
+    st.integers(-50, 50),
+)
+@example([0.0], 1e-12, 0)  # one coefficient, which could be dropped: it stays
+@example([0.0, 0.0, 0.0], 1.0, -1)  # everything within budget: one stays
+@example([1e-13, 5e-14, 1.0, 5e-14, 1e-13], 1e-12, -2)
+def test_trim_kernel_matches_the_loop(values, tol, offset):
+    values = np.array(values)
+    got = _trim_kernel(values, offset, tol)
+    want = trim_kernel_loop(values, offset, tol)
+    assert got.offset == want.offset
+    assert got.floats.tobytes() == want.floats.tobytes()
+
+
 def _doubling_reference(alpha, tol, max_size=1 << 20):
     """The stabilisation loop that doubles past every rejected residual."""
     ev = even_part(alpha)
@@ -238,7 +271,7 @@ def _doubling_reference(alpha, tol, max_size=1 << 20):
         drift = np.max(np.abs(curr[lo : lo + prev.size] - prev))
         edge = max(np.max(np.abs(curr[: size // 4])), np.max(np.abs(curr[3 * size // 4 :])))
         if drift < tol / 4.0 and edge < tol / 4.0:
-            kernel = _trim_kernel(curr, -(size // 2), tol)
+            kernel = trim_kernel_loop(curr, -(size // 2), tol)
             if inverse_residual_l1(alpha, kernel) <= tol:
                 return kernel
         prev = curr
@@ -359,6 +392,16 @@ def test_certificate_attached_to_sound_kernels_only():
         assert cert is not None and cert.hypothesis_met
         for idx in kern.support:
             assert abs(kern.coeff(idx)) <= cert.bound(idx) * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("shift", [32768, 10**30])
+def test_no_certificate_for_an_even_part_off_centre(shift):
+    # ev(z) z**16384 equals ev(z) on the 16384-point grid but is not real off it
+    alpha = bspline_mask(4).shift(shift)
+    assert even_inverse_spectral(alpha).certificate is None
+    assert not decay_certificate(alpha).hypothesis_met
+    with pytest.raises(CertificateUnavailableError):
+        decay_certificate(alpha, require_positive=True)
 
 
 def test_certificate_unavailable_on_vanishing_symbol():

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from evenrev import (
     LengthError,
@@ -26,7 +26,7 @@ from evenrev import (
     upsample,
     upsample_mask,
 )
-from evenrev.laurent import Mask, abs_moment, symbol_on_circle, unit_circle
+from evenrev.laurent import Mask, _periodic_convolve, abs_moment, symbol_on_circle, unit_circle
 from evenrev.masks import bspline_mask
 
 
@@ -65,6 +65,15 @@ def direct_circle_sum(mask, n):
             phase = (j * (mask.offset + i)) % n  # exact integer reduction of the angle
             out[j] += float(w) * cmath.exp(-2j * cmath.pi * phase / n)
     return out
+
+
+def take_periodic_convolve(offset, w, c):
+    """The periodic convolution with rows wrapped by ``take(..., mode="wrap")``."""
+    n = c.shape[-1]
+    start = (-offset - w.size + 1) % n
+    wrapped = c.take(np.arange(start, start + n + w.size - 1), axis=-1, mode="wrap")
+    full = np.correlate(wrapped.ravel(), w[::-1], "valid")
+    return np.ndarray(c.shape, full.dtype, full, 0, wrapped.strides)
 
 
 def naive_circular_convolve(mask, c):
@@ -481,3 +490,25 @@ def test_offsets_fold_modulo_the_period(periods):
         # an even shift of 2*n*k moves both polyphase parts by n*k
         far = m.shift(2 * n * periods)
         assert subdivide(far, c).tobytes() == subdivide(m, c).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.integers(-40, 40), st.sampled_from([10**30, -(10**30), 10**30 + 1, -(10**30) - 7])),
+    st.lists(st.floats(-2, 2, allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+    st.sampled_from([(), (1,), (3,), (2, 2)]),
+    st.integers(1, 12),
+    st.booleans(),
+)
+@example(0, [0.5], (), 1, False)  # period 1
+@example(-3, [0.5] * 7, (4,), 1, False)  # six whole periods of a 1-sample row
+@example(10**30, [0.25] * 11, (3,), 3, True)  # whole periods at a far offset, strided rows
+@example(-(10**30), [0.5] * 13, (2, 2), 4, False)
+def test_slice_wrap_equals_the_take_oracle(offset, taps, lead, n, strided):
+    # supports up to 40 taps against periods down to 1 wrap many whole periods
+    rng = np.random.default_rng(len(taps) * 100 + n)
+    c = rng.uniform(-1, 1, lead + (2 * n,))[..., ::2] if strided else rng.uniform(-1, 1, lead + (n,))
+    w = np.asarray(taps)
+    got = _periodic_convolve(offset, w, c)
+    assert got.shape == c.shape
+    assert got.tobytes() == take_periodic_convolve(offset, w, c).tobytes()

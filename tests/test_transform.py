@@ -222,6 +222,58 @@ def test_decompose_constant_signal():
         assert np.max(np.abs(d)) < 1e-13
 
 
+def decimate_chain(c, mask, levels, mode="exact", kernel=None):
+    """The pyramid from one ``decimate`` per level, each sampling at its own period."""
+    details = []
+    for _ in range(levels):
+        coarse = decimate(c, mask, mode=mode, kernel=kernel)
+        details.append(c - subdivide(mask, coarse))
+        c = coarse
+    return c, details[::-1]
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_decompose_matches_the_per_level_decimate_chain(lead):
+    # exact mode samples the even symbol once, at the finest coarse period;
+    # the per-level samples differ from its every 2**l-th value only by rounding
+    rng = np.random.default_rng(8)
+    for levels, n in [(1, 64), (5, 256), (3, 24)]:
+        c = rng.uniform(-1, 1, lead + (n,))
+        scale = np.max(np.abs(c))
+        for name, mask in catalog().items():
+            pyr = decompose(c, mask, levels)
+            coarse, details = decimate_chain(c, mask, levels)
+            assert np.max(np.abs(pyr.coarse - coarse)) <= 1e-12 * scale, name
+            for got, want in zip(pyr.details, details):
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale, name
+            if levels == 1 or mask.polyphase[0] == delta():  # one sampling, or none
+                assert pyr.coarse.tobytes() == coarse.tobytes(), name
+
+
+def test_decompose_kernel_mode_equals_the_decimate_chain_bit_for_bit():
+    c = np.random.default_rng(12).uniform(-1, 1, 128)
+    for mask in (bspline_mask(3), pseudo_spline_mask(6, 1)):
+        kern = even_inverse_spectral(mask)
+        pyr = decompose(c, mask, 4, mode="kernel", kernel=kern)
+        coarse, details = decimate_chain(c, mask, 4, mode="kernel", kernel=kern)
+        assert pyr.coarse.tobytes() == coarse.tobytes()
+        for got, want in zip(pyr.details, details):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tap", [1.0, 1.0 - 1e-10])
+def test_decompose_singular_even_symbol_raises_the_level_one_message(tap):
+    mask = make_mask(0, [1.0, 0.5, tap])  # even part 1 + tap z, within the guard at -1
+    c = np.ones(32)
+    with pytest.raises(DecimationSingularError) as info:
+        naive_exact_decimate(c[::2], mask.polyphase[0], 1e-9)
+    for levels in (1, 3):
+        with pytest.raises(DecimationSingularError) as got:
+            decompose(c, mask, levels)
+        assert str(got.value) == str(info.value)
+    assert "(period 16)" in str(info.value)
+
+
 def test_decompose_validates_levels():
     with pytest.raises(LevelError):
         decompose(np.ones(64), bspline_mask(3), 0)
