@@ -66,7 +66,7 @@ from .inverse import (
     pseudo_spline_gamma_norm2,
     verify_inverse,
 )
-from .transform import Pyramid, decimate, decompose, decompose_level, reconstruct, threshold_details
+from .transform import Pyramid, decimate, decompose, reconstruct, synthesize, threshold_details
 from .analysis import (
     compression_experiment,
     decay_report,

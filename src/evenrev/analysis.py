@@ -26,7 +26,7 @@ from .laurent import (
     odd_part,
     symbol_on_circle,
 )
-from .transform import Pyramid, decompose_level, decompose, reconstruct, threshold_details
+from .transform import Pyramid, decompose, reconstruct, synthesize, threshold_details
 
 __all__ = [
     "sample_function",
@@ -194,22 +194,17 @@ def decay_report(
     moments = filter_moment_constants(alpha, kernel)
     g1 = norm_l1(kernel)
 
-    approx = signal
-    delta_norms = {levels: float(np.max(np.abs(difference(approx))))}
-    detail_norms: dict[int, float] = {}
-    for level in range(levels, 0, -1):
-        approx, det = decompose_level(
-            approx, alpha, mode=mode, kernel=kernel if mode == "kernel" else None
-        )
-        delta_norms[level - 1] = float(np.max(np.abs(difference(approx))))
-        detail_norms[level] = float(np.max(np.abs(det)))
+    # level 0 alone is the signal itself: a pyramid without details
+    pyramid = decompose(signal, alpha, levels, mode, kernel) if levels else Pyramid(signal, ())
+    delta_norms = [float(np.max(np.abs(difference(c)))) for c in synthesize(pyramid, alpha)]
+    detail_norms = [None] + [float(np.max(np.abs(d))) for d in pyramid.details]
 
     rows = []
     for level in range(levels + 1):
         bound_delta = fprime * g1 ** (levels - level) * 2.0 ** (-level)
         bound_detail = moments.k_combined * bound_delta if level else None
         rows.append(
-            DecayRow(level, delta_norms[level], detail_norms.get(level), bound_delta, bound_detail)
+            DecayRow(level, delta_norms[level], detail_norms[level], bound_delta, bound_detail)
         )
     constants = {
         "fprime_bound": fprime,
@@ -282,6 +277,13 @@ def _pnorm(x: np.ndarray, p) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _check_trials(trials: int, perturbation: float) -> None:
+    if not 0 <= perturbation < math.inf:  # also refuses NaN
+        raise ParameterError(f"perturbation must be finite and >= 0, got {perturbation!r}")
+    if trials < 1:  # an empty report would pass vacuously
+        raise ParameterError(f"trials must be >= 1, got {trials}")
+
+
 @dataclass(frozen=True)
 class StabilityTrial:
     """One perturbation trial: measured deviation vs. proven budget."""
@@ -320,10 +322,7 @@ def reconstruction_stability_experiment(
     ``||c - c~||_inf <= K_sub * (||dc0||_inf + sum_l ||dd_l||_inf)`` with the
     empirically estimated upscaling constant ``K_sub``.
     """
-    if perturbation < 0:
-        raise ParameterError("perturbation must be nonnegative")
-    if trials < 1:  # an empty report would pass vacuously
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials, perturbation)
     k_sub = estimate_subdivision_sup_norm(alpha) if sup_norm is None else sup_norm
     rng = np.random.default_rng(seed)
     base = reconstruct(pyramid, alpha)
@@ -370,8 +369,7 @@ def decomposition_stability_experiment(
     coarse-data inequality and the per-level detail inequalities, and
     records the worst measured-to-bound margin.
     """
-    if trials < 1:  # an empty report would pass vacuously
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials, perturbation)
     if kernel is None:
         kernel = even_inverse_spectral(alpha)
     if p in (2, 2.0, "2"):

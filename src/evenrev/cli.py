@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -18,9 +19,8 @@ import numpy as np
 from . import analysis, selftest, serialize
 from .errors import EvenRevError, ParameterError
 from .inverse import even_inverse
-from .laurent import subdivide
 from .masks import bspline_mask, dd_mask, pseudo_spline_mask
-from .transform import decompose, reconstruct, threshold_details
+from .transform import decompose, reconstruct, synthesize, threshold_details
 
 __all__ = ["RunConfig", "main"]
 
@@ -169,11 +169,8 @@ def _cmd_decompose(args, cfg: RunConfig) -> int:
         # level l; c_l is rebuilt by re-synthesis.  Exact mode leaves rounding.
         tol = kernel.tol if kernel is not None else 0.0
         floor = 1e-10 * max(1.0, float(np.max(np.abs(signal))))
-        c, limits = pyramid.coarse, []
-        for d in pyramid.details:
-            c = subdivide(mask, c) + d
-            limits.append(1.01 * tol * float(np.max(np.abs(c))) + floor)
-        _check_packable(pyramid, limits)
+        finer = itertools.islice(synthesize(pyramid, mask), 1, None)  # c_1 .. c_J, one at a time
+        _check_packable(pyramid, [1.01 * tol * float(np.max(np.abs(c))) + floor for c in finer])
     _emit(serialize.pyramid_to_obj(pyramid, packed=args.packed), args.out)
     return 0
 
@@ -204,23 +201,27 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
         )
         return _emit_rows(report, args)
     if args.analysis == "stability":
-        seed = args.seed if args.seed is not None else cfg.seed
         if args.stability_mode == "dec":
             report = analysis.decomposition_stability_experiment(
-                mask, p=args.p, trials=args.trials, seed=seed
+                mask, p=args.p, trials=args.trials, seed=cfg.seed, perturbation=args.perturbation
             )
         else:
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(cfg.seed)
             signal = rng.uniform(-1.0, 1.0, 256)
             pyramid = decompose(signal, mask, 6)
             report = analysis.reconstruction_stability_experiment(
-                mask, pyramid, args.perturbation, args.trials, seed=seed
+                mask, pyramid, args.perturbation, args.trials, seed=cfg.seed
             )
         _emit(serialize.report_to_obj(report), args.out)
         return 0 if report.all_ok else 1
     if args.analysis == "compress":
         signal = _load_signal(args.signal)
-        grid = [float(tok) for tok in args.eps_grid.split(",") if tok.strip()]
+        grid = []
+        for tok in filter(str.strip, args.eps_grid.split(",")):
+            try:
+                grid.append(float(tok))
+            except ValueError:
+                raise ParameterError(f"--eps-grid token {tok!r} is not a number") from None
         if not grid:
             raise ParameterError("--eps-grid must list at least one threshold")
         report = analysis.compression_experiment(signal, mask, args.levels, grid)
@@ -303,7 +304,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mode", dest="stability_mode", choices=("rec", "dec"), required=True)
     s.add_argument("--p", default="inf", choices=("2", "inf"))
     s.add_argument("--trials", type=int, default=100)
-    s.add_argument("--seed", type=int)
+    # SUPPRESS: without its own --seed the subcommand keeps the global one
+    s.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     s.add_argument("--perturbation", type=float, default=1e-3)
     s.add_argument("--mask", required=True)
     s.add_argument("--out")

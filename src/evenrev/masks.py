@@ -102,10 +102,10 @@ def dd_mask(points: int) -> Mask:
 
 def is_interpolatory(m: Mask, tol: float = 1e-12) -> bool:
     """True iff the even part is the unit impulse (exactly for rational masks)."""
-    ev = even_part(m)
-    if m.is_rational:
-        return ev == delta(1)
-    if ev.is_zero:
+    ev = m.polyphase[0]
+    if ev.offset == 0 and ev.coeffs == (1,):  # exactly 1 (or 1.0) at index 0: cheap, so first
+        return True
+    if not tol or ev.is_zero or m.is_rational:
         return False
     diff = ev - delta(1.0)
     return all(abs(float(c)) <= tol for c in diff.coeffs)

@@ -10,7 +10,7 @@ details carry only half the information; reconstruction
 ``c = S_alpha(coarse) + detail`` is exact for *any* decimation filter, right
 or wrong, which the tests exploit.
 
-Two decimation modes are provided:
+Two decimation modes, one dispatch for :func:`decimate` and :func:`decompose`:
 
 * ``"exact"`` -- divide by the even symbol at the roots of unity (discrete
   Fourier division, sampled once per :func:`decompose` at its finest coarse
@@ -21,8 +21,9 @@ Two decimation modes are provided:
   exercising the truncation budget.  A kernel is a mask, so this is the same
   :func:`~evenrev.laurent.circular_convolve` that any mask goes through.
 
-Like the :mod:`~evenrev.laurent` operators, decimation, :func:`decompose`
-and :func:`reconstruct` work along the last axis of ``(..., N)`` arrays, so a
+:func:`synthesize` yields each level's data, coarsest first, and
+:func:`reconstruct` is its last value.  All of them work along the last axis
+of ``(..., N)`` arrays, as the :mod:`~evenrev.laurent` operators do, so a
 :class:`Pyramid` may hold a batch of signals' pyramids (every detail has the
 coarse data's leading shape).  Pyramid files stay 1-D:
 :func:`~evenrev.serialize.pyramid_to_obj` refuses a batched pyramid.
@@ -45,8 +46,9 @@ from .inverse import Kernel, even_inverse_spectral
 from .laurent import (
     Mask, _signal, as_signal, circular_convolve, downsample, subdivide, symbol_on_circle,
 )
+from .masks import is_interpolatory
 
-__all__ = ["Pyramid", "decimate", "decompose_level", "decompose", "reconstruct", "threshold_details"]
+__all__ = ["Pyramid", "decimate", "decompose", "synthesize", "reconstruct", "threshold_details"]
 
 MODES = ("exact", "kernel")
 
@@ -94,28 +96,31 @@ class Pyramid:
         return max(float(np.max(np.abs(d[..., ::2]))) for d in self.details)
 
 
-def _even_values(ev: Mask, m: int, guard: float) -> np.ndarray:
-    """``ev(z_j)``, ``j = 0 .. m/2``, at period ``m``; raises where one is within ``guard`` of 0."""
-    vals = symbol_on_circle(ev, m, half=True)
+def _halving(alpha: Mask, n: int, mode: str, kernel: Kernel | None, guard: float):
+    """Decimation ``f(ce, l)`` of the downsampled data ``ce`` at halving ``l`` from period ``n``.
+
+    Exact mode samples the even symbol once, at period ``m = n/2``; halving ``l`` divides by
+    every ``2**l``-th value, as period ``m/2``'s points are period ``m``'s even-indexed ones.
+    """
+    if mode not in MODES:
+        raise ParameterError(f"unknown decimation mode {mode!r}; use one of {MODES}")
+    if mode == "kernel":
+        if kernel is None:
+            kernel = even_inverse_spectral(alpha)
+        return lambda ce, level: circular_convolve(kernel, ce)
+    if is_interpolatory(alpha, tol=0.0):
+        return lambda ce, level: ce
+    m = n // 2
+    vals = symbol_on_circle(alpha.polyphase[0], m, half=True)
     bad = np.abs(vals) <= guard
     if np.any(bad):
         where = complex(np.exp(-2j * np.pi * int(np.argmax(bad)) / m))
         raise DecimationSingularError(
             f"even symbol vanishes at the root of unity {where:.6f} (period {m})"
         )
-    return vals
-
-
-def _divide(ce: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    return np.fft.irfft(np.fft.rfft(ce, axis=-1) / vals, ce.shape[-1], axis=-1)
-
-
-def _exact_decimate(ce: np.ndarray, ev: Mask, guard: float) -> np.ndarray:
-    return _divide(ce, _even_values(ev, ce.shape[-1], guard))
-
-
-def _interpolatory(ev: Mask) -> bool:
-    return ev.offset == 0 and ev.floats.tolist() == [1.0]
+    return lambda ce, level: np.fft.irfft(
+        np.fft.rfft(ce, axis=-1) / vals[:: 1 << level], ce.shape[-1], axis=-1
+    )
 
 
 def decimate(
@@ -135,33 +140,7 @@ def decimate(
     c = _signal(c)
     if c.shape[-1] % 2:
         raise LengthError(f"decimation needs an even period, got {c.shape[-1]}")
-    if mode not in MODES:
-        raise ParameterError(f"unknown decimation mode {mode!r}; use one of {MODES}")
-    ce = downsample(c)
-    if mode == "kernel":
-        if kernel is None:
-            kernel = even_inverse_spectral(alpha)
-        return circular_convolve(kernel, ce)
-    ev = alpha.polyphase[0]
-    if _interpolatory(ev):
-        return ce
-    return _exact_decimate(ce, ev, guard)
-
-
-def _analysis_step(c: np.ndarray, alpha: Mask, coarse: np.ndarray):
-    """``(coarse, c - S_alpha(coarse))`` from already decimated ``coarse``."""
-    detail = subdivide(alpha, coarse)
-    return coarse, np.subtract(c, detail, out=detail)  # in place: one array less per level
-
-
-def decompose_level(
-    c,
-    alpha: Mask,
-    mode: str = "exact",
-    kernel: Kernel | None = None,
-):
-    """One analysis step: returns ``(coarse, detail)`` with ``detail`` full length."""
-    return _analysis_step(c, alpha, decimate(c, alpha, mode=mode, kernel=kernel))
+    return _halving(alpha, c.shape[-1], mode, kernel, guard)(downsample(c), 0)
 
 
 def decompose(
@@ -181,32 +160,34 @@ def decompose(
         raise LevelError(
             f"period {n} does not support {levels} halvings with >= 2 coarse samples"
         )
-    if mode == "kernel" and kernel is None:
-        kernel = even_inverse_spectral(alpha)
-    ev = alpha.polyphase[0]
-    vals = _even_values(ev, n // 2, 1e-9) if mode == "exact" and not _interpolatory(ev) else None
+    halve = _halving(alpha, n, mode, kernel, 1e-9)
     details = []
     for level in range(levels):
-        if vals is None:
-            coarse = decimate(c, alpha, mode=mode, kernel=kernel)
-        else:  # period m/2's points are period m's even-indexed ones: every 2**l-th
-            coarse = _divide(downsample(c), vals[:: 1 << level])
-        c, d = _analysis_step(c, alpha, coarse)
-        details.append(d)
+        coarse = halve(downsample(c), level)
+        detail = subdivide(alpha, coarse)
+        details.append(np.subtract(c, detail, out=detail))  # in place: one array less per level
+        c = coarse
     details.reverse()  # store coarsest-level detail first
     return Pyramid(c, tuple(details), mask_id)
 
 
-def reconstruct(p: Pyramid, alpha: Mask) -> np.ndarray:
-    """Exact synthesis ``c = S_alpha(coarse) + detail``, level by level.
+def synthesize(p: Pyramid, alpha: Mask):
+    """Yield each level's data ``c_0 = coarse, ..., c_J``, where ``c_l = S_alpha(c_{l-1}) + d_l``.
 
-    Inverts :func:`decompose` for any decimation mode or kernel, because the
-    analysis stored exactly the residual that this sum restores.
+    Each yielded array is new and never modified afterwards.
     """
-    c = np.asarray(p.coarse, dtype=float)
+    c = np.array(p.coarse, dtype=float)
+    yield c
     for d in p.details:
         c = subdivide(alpha, c)
         c += d  # in place: one array less per level
+        yield c
+
+
+def reconstruct(p: Pyramid, alpha: Mask) -> np.ndarray:
+    """Exact synthesis: the finest level of :func:`synthesize`, inverting :func:`decompose`."""
+    for c in synthesize(p, alpha):
+        pass
     return c
 
 

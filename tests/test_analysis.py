@@ -12,6 +12,7 @@ from evenrev import (
     compression_experiment,
     dd_mask,
     decay_report,
+    decimate,
     decompose,
     decomposition_stability_experiment,
     derivative_bound,
@@ -138,6 +139,38 @@ def test_decay_report_level_zero_has_no_detail():
     assert report.row(0).detail_norm is None
     assert report.row(0).bound_detail is None
     assert len(report.rows) == 6
+
+
+def test_decay_report_without_levels_has_the_signal_row_alone():
+    report = decay_report("sine", 0, 4, bspline_mask(3))
+    (row,) = report.rows
+    assert row.detail_norm is None
+    assert row.delta_norm == np.max(np.abs(difference(sample_function("sine", 0, 4))))
+
+
+def test_decay_report_exact_rows_match_the_per_level_decimate_chain():
+    # the report samples the even symbol once and reads its differences from
+    # re-synthesis; the chain decimates at each period and keeps each level's data
+    levels = 8
+    for kind in ("sine", "gaussian_bump", "poly"):
+        signal = sample_function(kind, levels, 2)
+        scale = np.max(np.abs(signal))
+        for name, mask in catalog().items():
+            report = decay_report(kind, levels, 2, mask)
+            c, deltas, details = signal, [np.max(np.abs(difference(signal)))], []
+            for _ in range(levels):
+                coarse = decimate(c, mask)
+                details.append(np.max(np.abs(c - subdivide(mask, coarse))))
+                c = coarse
+                deltas.append(np.max(np.abs(difference(c))))
+            deltas.reverse()
+            details = [None] + details[::-1]
+            for row, delta_norm, detail_norm in zip(report.rows, deltas, details):
+                assert abs(row.delta_norm - delta_norm) <= 1e-12 * scale, (kind, name, row)
+                if detail_norm is None:
+                    assert row.detail_norm is None
+                else:
+                    assert abs(row.detail_norm - detail_norm) <= 1e-12 * scale, (kind, name, row)
 
 
 def test_decay_report_kernel_mode():
@@ -370,6 +403,18 @@ def test_stability_experiments_need_a_trial(trials):
         decomposition_stability_experiment(mask, trials=trials)
     with pytest.raises(ParameterError, match=f"trials must be >= 1, got {trials}"):
         reconstruction_stability_experiment(mask, pyr, 1e-3, trials)
+
+
+@pytest.mark.parametrize("perturbation", [-1e-3, math.inf, math.nan])
+def test_stability_experiments_refuse_a_perturbation_outside_zero_to_inf(perturbation):
+    # NaN noise would compare false against every bound; inf overflows the draws
+    mask = bspline_mask(4)
+    _, pyr = _pyramid(mask)
+    message = f"perturbation must be finite and >= 0, got {perturbation!r}"
+    with pytest.raises(ParameterError, match=message):
+        decomposition_stability_experiment(mask, trials=2, perturbation=perturbation)
+    with pytest.raises(ParameterError, match=message):
+        reconstruction_stability_experiment(mask, pyr, perturbation, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,46 @@ def test_analyze_stability_deterministic(quadratic_mask, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_analyze_decay_without_levels_prints_one_row(quadratic_mask, capsys):
+    assert run("analyze", "decay", "--levels", "0", "--mask", str(quadratic_mask)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "level,delta_norm,detail_norm,bound_delta,bound_detail"
+    assert len(lines) == 2 and lines[1].startswith("0,")
+
+
+def test_analyze_stability_takes_the_seed_from_any_spelling(quadratic_mask, tmp_path):
+    cfg = tmp_path / "seed.json"
+    cfg.write_text('{"seed": 5}\n')
+    stability = [
+        "analyze", "stability", "--mode", "dec", "--trials", "2", "--mask", str(quadratic_mask),
+    ]
+    spellings = {
+        "zero": stability,
+        "global": ["--seed", "5", *stability],
+        "subcommand": [*stability, "--seed", "5"],
+        "config": ["--config", str(cfg), *stability],
+    }
+    got = {}
+    for name, argv in spellings.items():
+        out = tmp_path / f"{name}.json"
+        assert run(*argv, "--out", str(out)) == 0
+        got[name] = out.read_bytes()
+    assert got["global"] == got["subcommand"] == got["config"] != got["zero"]
+
+
+def test_analyze_stability_dec_honours_the_perturbation(quadratic_mask, tmp_path):
+    reports = {}
+    for amount in ("1e-3", "0.25"):
+        out = tmp_path / f"{amount}.json"
+        assert run(
+            "analyze", "stability", "--mode", "dec", "--trials", "3", "--perturbation", amount,
+            "--mask", str(quadratic_mask), "--out", str(out),
+        ) == 0
+        reports[amount] = load_json(str(out))
+    assert reports["0.25"]["constants"]["perturbation"] == 0.25
+    assert reports["1e-3"]["trials"] != reports["0.25"]["trials"]
+
+
 def test_analyze_compress(quadratic_mask, tmp_path):
     rng = np.random.default_rng(11)
     sig_path = tmp_path / "signal.csv"
@@ -240,6 +280,14 @@ PYRAMID = '{{"coarse": [{}, 1.0], "details": [[0.0, 0.0, 0.0, 0.0]], "levels": {
          "threshold must be nonnegative, got nan"),
         ("analyze compress --signal {s} --mask {m} --levels 1 --eps-grid 1e-3,nan", {},
          "threshold must be nonnegative, got nan"),
+        ("analyze compress --signal {s} --mask {m} --levels 1 --eps-grid 1e-2,abc", {},
+         "--eps-grid token 'abc' is not a number"),
+        ("analyze stability --mode rec --perturbation nan --mask {m}", {},
+         "perturbation must be finite and >= 0, got nan"),
+        ("analyze stability --mode rec --perturbation inf --mask {m}", {},
+         "perturbation must be finite and >= 0, got inf"),
+        ("analyze stability --mode dec --perturbation -0.001 --mask {m}", {},
+         "perturbation must be finite and >= 0, got -0.001"),
         ("analyze stability --mode dec --trials -3 --mask {m}", {}, "trials must be >= 1, got -3"),
         ("analyze stability --mode rec --trials 0 --mask {m}", {}, "trials must be >= 1, got 0"),
         ("analyze decay --levels 70 --mask {m}", {}, "levels 70 with base 2 ask for"),
@@ -249,7 +297,9 @@ PYRAMID = '{{"coarse": [{}, 1.0], "details": [[0.0, 0.0, 0.0, 0.0]], "levels": {
     ids=[
         "malformed-json", "mask-without-offset", "config-type", "config-not-object",
         "config-nan", "pyramid-nan", "pyramid-levels", "kernel-nan", "tol-nan", "tol-zero",
-        "tol-inf", "signal-not-text", "compress-eps-nan", "eps-grid-nan", "stability-dec-trials",
+        "tol-inf", "signal-not-text", "compress-eps-nan", "eps-grid-nan", "eps-grid-token",
+        "stability-rec-perturbation-nan", "stability-rec-perturbation-inf",
+        "stability-dec-perturbation-negative", "stability-dec-trials",
         "stability-rec-trials", "decay-levels-too-many", "decay-levels-58",
     ],
 )

@@ -106,6 +106,16 @@ def test_is_interpolatory_examples():
     assert is_interpolatory(floaty)
 
 
+def test_is_interpolatory_with_zero_tol_asks_for_the_exact_unit_impulse():
+    near = make_mask(-2, [1e-13, 0.5, 1.0 + 1e-13, 0.5])  # even part 1e-13/z + 1 + 1e-13
+    assert is_interpolatory(near) and not is_interpolatory(near, tol=0.0)
+    exact = pseudo_spline_mask(6, 2)
+    for m in (make_mask(0, [1.0, 0.5]), exact, exact.astype_float()):
+        assert is_interpolatory(m, tol=0.0)
+    for m in (bspline_mask(3), make_mask(2, [1.0]), make_mask(1, [0.5]), make_mask(0, [-1.0])):
+        assert not is_interpolatory(m, tol=0.0) and not is_interpolatory(m, tol=0.5)
+
+
 def test_normalization_check():
     for name, m in catalog().items():
         assert normalization_check(m), name

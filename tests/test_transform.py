@@ -19,7 +19,6 @@ from evenrev import (
     dd_mask,
     decimate,
     decompose,
-    decompose_level,
     delta,
     downsample,
     even_inverse_closed_cubic,
@@ -29,11 +28,18 @@ from evenrev import (
     pseudo_spline_mask,
     reconstruct,
     subdivide,
+    synthesize,
     threshold_details,
+    upsample,
     upsample_mask,
 )
 from evenrev.laurent import circular_convolve
-from evenrev.transform import MODES, _exact_decimate
+from evenrev.transform import MODES
+
+
+def exact_decimate(ce, ev, guard):
+    """``decimate`` of data whose downsampling is ``ce``, by a mask whose even part is ``ev``."""
+    return decimate(upsample(ce), upsample_mask(ev), guard=guard)
 
 
 def naive_kernel_decimate(kernel, c):
@@ -138,14 +144,14 @@ def test_exact_decimate_matches_naive_reference(m):
     for mask in masks:
         ev = mask.polyphase[0]
         ce = rng.uniform(-1, 1, m)
-        err = np.max(np.abs(_exact_decimate(ce, ev, 1e-9) - naive_exact_decimate(ce, ev, 1e-9)))
+        err = np.max(np.abs(exact_decimate(ce, ev, 1e-9) - naive_exact_decimate(ce, ev, 1e-9)))
         assert err <= 1e-13 * np.max(np.abs(ce))
 
 
 def test_exact_decimate_singular_message_matches_naive_reference():
     ev = make_mask(0, [1.0, 1.0])  # 1 + z vanishes at z = -1
     messages = []
-    for fn in (_exact_decimate, naive_exact_decimate):
+    for fn in (exact_decimate, naive_exact_decimate):
         with pytest.raises(DecimationSingularError) as info:
             fn(np.ones(8), ev, 1e-9)
         messages.append(str(info.value))
@@ -178,7 +184,8 @@ def test_decompose_level_interpolatory_details():
     rng = np.random.default_rng(1)
     mask = dd_mask(2)
     c = rng.uniform(-1, 1, 32)
-    coarse, detail = decompose_level(c, mask)
+    pyr = decompose(c, mask, 1)
+    coarse, detail = pyr.coarse, pyr.details[0]
     assert np.array_equal(coarse, c[::2])
     assert np.max(np.abs(detail[::2])) == 0.0
     predicted = circular_convolve(odd_part(mask), c[::2])
@@ -190,14 +197,14 @@ def test_decompose_level_refinement_data_has_zero_detail():
     for mask in (bspline_mask(3), bspline_mask(4)):
         b = rng.uniform(-1, 1, 16)
         c = subdivide(mask, b)
-        _, detail = decompose_level(c, mask)
+        detail = decompose(c, mask, 1).details[0]
         assert np.max(np.abs(detail)) < 1e-12
 
 
 def test_decompose_level_even_details_vanish():
     rng = np.random.default_rng(3)
     c = rng.uniform(-1, 1, 64)
-    _, detail = decompose_level(c, bspline_mask(4))
+    detail = decompose(c, bspline_mask(4), 1).details[0]
     assert np.max(np.abs(detail[::2])) < 1e-12
 
 
@@ -209,10 +216,11 @@ def test_decompose_level_even_details_vanish():
 def test_decompose_one_level_equals_level_step():
     rng = np.random.default_rng(4)
     c = rng.uniform(-1, 1, 32)
+    # one level is one decimation and the residual against its upscaling
     pyr = decompose(c, bspline_mask(3), 1)
-    coarse, detail = decompose_level(c, bspline_mask(3))
+    coarse = decimate(c, bspline_mask(3))
     assert np.array_equal(pyr.coarse, coarse)
-    assert np.array_equal(pyr.details[0], detail)
+    assert np.array_equal(pyr.details[0], c - subdivide(bspline_mask(3), coarse))
 
 
 def test_decompose_constant_signal():
@@ -299,6 +307,33 @@ def test_roundtrip_all_catalog_masks_both_modes():
             pyr = decompose(c, mask, 4, mode=mode, kernel=kern)
             err = np.max(np.abs(reconstruct(pyr, mask) - c))
             assert err < 1e-10, (name, mode, err)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_synthesize_ends_in_reconstruct_bit_for_bit(lead):
+    c = np.random.default_rng(13).uniform(-1, 1, lead + (96,))
+    for mask in (bspline_mask(3), dd_mask(2), pseudo_spline_mask(6, 1)):
+        for mode in MODES:
+            pyr = decompose(c, mask, 4, mode=mode)
+            assert list(synthesize(pyr, mask))[-1].tobytes() == reconstruct(pyr, mask).tobytes()
+
+
+@pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+def test_synthesize_levels_double_the_period_and_keep_the_leading_shape(lead):
+    c = np.random.default_rng(14).uniform(-1, 1, lead + (80,))
+    pyr = decompose(c, bspline_mask(4), 3)
+    levels = list(synthesize(pyr, bspline_mask(4)))
+    assert [x.shape for x in levels] == [lead + (10 << l,) for l in range(4)]
+    assert np.array_equal(levels[0], pyr.coarse)
+    # each level is a new array: changing one leaves the pyramid and the others alone
+    levels[0][...] = 7.0
+    assert not np.any(pyr.coarse == 7.0) and not np.shares_memory(levels[1], levels[2])
+
+
+def test_synthesize_without_details_yields_a_copy_of_the_coarse_data():
+    pyr = Pyramid(np.arange(4.0), ())
+    (only,) = synthesize(pyr, bspline_mask(3))
+    assert np.array_equal(only, pyr.coarse) and not np.shares_memory(only, pyr.coarse)
 
 
 def test_reconstruct_zero_details_is_iterated_subdivision():
