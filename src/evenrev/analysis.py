@@ -280,6 +280,10 @@ def _pnorm(x: np.ndarray, p) -> float:
 def _check_trials(trials: int, perturbation: float) -> None:
     if not 0 <= perturbation < math.inf:  # also refuses NaN
         raise ParameterError(f"perturbation must be finite and >= 0, got {perturbation!r}")
+    if 2 * perturbation == math.inf:  # the noise range [-p, p] would overflow
+        raise ParameterError(
+            f"perturbation must be at most half the largest float, got {perturbation!r}"
+        )
     if trials < 1:  # an empty report would pass vacuously
         raise ParameterError(f"trials must be >= 1, got {trials}")
 
@@ -323,7 +327,9 @@ def reconstruction_stability_experiment(
     empirically estimated upscaling constant ``K_sub``.
     """
     _check_trials(trials, perturbation)
-    k_sub = estimate_subdivision_sup_norm(alpha) if sup_norm is None else sup_norm
+    k_sub = sup_norm
+    if k_sub is None:  # powers up to the depth bound every synthesis run here
+        k_sub = estimate_subdivision_sup_norm(alpha, max_power=max(12, pyramid.levels))
     rng = np.random.default_rng(seed)
     base = reconstruct(pyramid, alpha)
     # row t holds trial t's draws in the order a trial at a time would make
@@ -447,7 +453,9 @@ def compression_experiment(
     budget ``K_sub * sum_l ||d_l - d_l(eps)||_inf`` that provably dominates
     the error.
     """
-    k_sub = estimate_subdivision_sup_norm(alpha) if sup_norm is None else sup_norm
+    k_sub = sup_norm
+    if k_sub is None:  # powers up to the depth bound every synthesis run here
+        k_sub = estimate_subdivision_sup_norm(alpha, max_power=max(12, levels))
     pyramid = decompose(signal, alpha, levels, mode=mode, kernel=kernel, mask_id=mask_id)
     baseline = reconstruct(pyramid, alpha)
     rows = []

@@ -162,15 +162,16 @@ def _cmd_decompose(args, cfg: RunConfig) -> int:
     signal = _load_signal(args.signal)
     mode, kernel = _resolve_kernel(args, mask, cfg)
     pyramid = decompose(
-        signal, mask, args.levels, mode=mode, kernel=kernel, mask_id=args.mask_id
+        signal, mask, args.levels, mode=mode, kernel=kernel, mask_id=args.mask_id,
+        guard=cfg.guard_threshold,
     )
-    if args.packed:
+    if args.packed and kernel is not None:
         # A kernel of residual tol leaves even details up to tol * max|c_l| at
-        # level l; c_l is rebuilt by re-synthesis.  Exact mode leaves rounding.
-        tol = kernel.tol if kernel is not None else 0.0
+        # level l; c_l is rebuilt by re-synthesis.  Exact mode stores 0.0 there.
         floor = 1e-10 * max(1.0, float(np.max(np.abs(signal))))
         finer = itertools.islice(synthesize(pyramid, mask), 1, None)  # c_1 .. c_J, one at a time
-        _check_packable(pyramid, [1.01 * tol * float(np.max(np.abs(c))) + floor for c in finer])
+        limits = [1.01 * kernel.tol * float(np.max(np.abs(c))) + floor for c in finer]
+        _check_packable(pyramid, limits)
     _emit(serialize.pyramid_to_obj(pyramid, packed=args.packed), args.out)
     return 0
 

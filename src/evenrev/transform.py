@@ -14,12 +14,21 @@ Two decimation modes, one dispatch for :func:`decimate` and :func:`decompose`:
 
 * ``"exact"`` -- divide by the even symbol at the roots of unity (discrete
   Fourier division, sampled once per :func:`decompose` at its finest coarse
-  period).  On the periodic model this is the exact inverse, so
-  even-detail annihilation holds to machine precision.
+  period).  On the periodic model this is the exact inverse, so the step is
+  a lifting pair (Sweldens 1998): a scaling of the even channel,
+  ``coarse = ev^-1 * c_even``, then a prediction of the odd channel,
+  ``d_odd = c_odd - od * coarse``.  :func:`decompose` computes only that
+  prediction, and stores every even detail as an exact ``0.0``: the even
+  residual ``c_even - ev * coarse`` is rounding by construction (criterion 7
+  measures it through :func:`decimate` and
+  :func:`~evenrev.laurent.subdivide`).
 * ``"kernel"`` -- circular convolution with a truncated inverse
   :class:`~evenrev.inverse.Kernel`, matching the bi-infinite formulation and
   exercising the truncation budget.  A kernel is a mask, so this is the same
   :func:`~evenrev.laurent.circular_convolve` that any mask goes through.
+  The whole residual against ``S_alpha(coarse)`` is stored, even phase
+  included, since its even entries are the truncation leak that the budget
+  bounds.
 
 :func:`synthesize` yields each level's data, coarsest first, and
 :func:`reconstruct` is its last value.  All of them work along the last axis
@@ -44,7 +53,14 @@ from .errors import (
 )
 from .inverse import Kernel, even_inverse_spectral
 from .laurent import (
-    Mask, _signal, as_signal, circular_convolve, downsample, subdivide, symbol_on_circle,
+    Mask,
+    _periodic_convolve,
+    _signal,
+    as_signal,
+    circular_convolve,
+    downsample,
+    subdivide,
+    symbol_on_circle,
 )
 from .masks import is_interpolatory
 
@@ -150,8 +166,14 @@ def decompose(
     mode: str = "exact",
     kernel: Kernel | None = None,
     mask_id: str = "custom",
+    guard: float = 1e-9,
 ) -> Pyramid:
-    """Run ``levels`` analysis steps, finest data in, coarse-plus-details out."""
+    """Run ``levels`` analysis steps, finest data in, coarse-plus-details out.
+
+    Exact mode predicts only the odd samples and leaves every even detail an
+    exact ``0.0``; kernel mode stores the whole residual.  ``guard`` is
+    :func:`decimate`'s bound on the even symbol's modulus.
+    """
     c = _signal(c)
     if levels < 1:
         raise LevelError(f"need at least one level, got {levels}")
@@ -160,12 +182,19 @@ def decompose(
         raise LevelError(
             f"period {n} does not support {levels} halvings with >= 2 coarse samples"
         )
-    halve = _halving(alpha, n, mode, kernel, 1e-9)
+    halve = _halving(alpha, n, mode, kernel, guard)
+    od = alpha.polyphase[1]
     details = []
     for level in range(levels):
-        coarse = halve(downsample(c), level)
-        detail = subdivide(alpha, coarse)
-        details.append(np.subtract(c, detail, out=detail))  # in place: one array less per level
+        coarse = halve(c[..., ::2], level)  # a view, not a copy: nothing here writes into c
+        if mode == "exact":
+            detail = np.zeros(c.shape)
+            odd = _periodic_convolve(od.offset, od.floats, coarse)
+            np.subtract(c[..., 1::2], odd, out=detail[..., 1::2])
+        else:
+            detail = subdivide(alpha, coarse)
+            np.subtract(c, detail, out=detail)  # in place: one array less per level
+        details.append(detail)
         c = coarse
     details.reverse()  # store coarsest-level detail first
     return Pyramid(c, tuple(details), mask_id)

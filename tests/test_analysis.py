@@ -1,6 +1,7 @@
 """Decay reports, stability experiments, compression sweeps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -236,6 +237,23 @@ def test_sup_norm_estimate_exceeds_one_for_dd():
     assert val > 1.0
 
 
+def test_experiments_bound_synthesis_deeper_than_twelve_levels():
+    # the constant must cover every power of S_alpha a synthesis applies
+    mask = pseudo_spline_mask(6, 2)
+    deep = estimate_subdivision_sup_norm(mask, 16)
+    assert abs(deep - 1.3906393907) < 1e-10
+    assert abs(estimate_subdivision_sup_norm(mask) - 1.3906393886) < 1e-10
+    pyr = Pyramid(np.zeros(2), tuple(np.zeros(2 << level) for level in range(1, 17)))
+    report = reconstruction_stability_experiment(mask, pyr, 1e-3, 1)
+    assert report.constants["sup_norm"] == deep
+    signal = np.cos(2 * np.pi * np.arange(1 << 17) / (1 << 17))
+    report = compression_experiment(signal, mask, 16, [1e-3])
+    assert report.constants["sup_norm"] == deep
+    # at 12 levels or fewer the constant is the 12-power one, as before
+    report = compression_experiment(signal[:4096], mask, 11, [1e-3])
+    assert report.constants["sup_norm"] == estimate_subdivision_sup_norm(mask)
+
+
 def test_one_step_norms_dominate_random_applications():
     rng = np.random.default_rng(12)
     for mask in (bspline_mask(3), dd_mask(2), pseudo_spline_mask(6, 1)):
@@ -411,6 +429,18 @@ def test_stability_experiments_refuse_a_perturbation_outside_zero_to_inf(perturb
     mask = bspline_mask(4)
     _, pyr = _pyramid(mask)
     message = f"perturbation must be finite and >= 0, got {perturbation!r}"
+    with pytest.raises(ParameterError, match=message):
+        decomposition_stability_experiment(mask, trials=2, perturbation=perturbation)
+    with pytest.raises(ParameterError, match=message):
+        reconstruction_stability_experiment(mask, pyr, perturbation, 2)
+
+
+@pytest.mark.parametrize("perturbation", [1e308, 8.99e307])
+def test_stability_experiments_refuse_a_perturbation_whose_range_overflows(perturbation):
+    # uniform draws on [-p, p] need 2 * p finite
+    mask = bspline_mask(4)
+    _, pyr = _pyramid(mask)
+    message = re.escape(f"perturbation must be at most half the largest float, got {perturbation!r}")
     with pytest.raises(ParameterError, match=message):
         decomposition_stability_experiment(mask, trials=2, perturbation=perturbation)
     with pytest.raises(ParameterError, match=message):

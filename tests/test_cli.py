@@ -238,6 +238,19 @@ def test_malformed_signal_exits_without_traceback(quadratic_mask, tmp_path):
     assert proc.stdout == ""
 
 
+def test_config_guard_threshold_reaches_exact_decompose(tmp_path, capsys):
+    mask = tmp_path / "near.json"  # even symbol 1 + (1 - 1e-10) z: |ev(-1)| = 1e-10
+    mask.write_text('{"offset": 0, "coeffs": [1.0, 0.5, 0.9999999999]}')
+    argv = ["decompose", "--signal", str(_signal_file(tmp_path, 32, 6)), "--mask", str(mask),
+            "--levels", "2", "--out", str(tmp_path / "p.json")]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err.startswith("error: validation: even symbol vanishes")
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"guard_threshold": 1e-12}')
+    assert run("--config", str(cfg), *argv) == 0
+    assert load_json(str(tmp_path / "p.json"))["levels"] == 2
+
+
 def test_config_file_applies(tmp_path, quadratic_mask, capsys):
     cfg = tmp_path / "config.json"
     write_text_atomic(str(cfg), json.dumps({"circle_samples": 2048, "inverse_tol": 1e-10}) + "\n")
@@ -288,6 +301,8 @@ PYRAMID = '{{"coarse": [{}, 1.0], "details": [[0.0, 0.0, 0.0, 0.0]], "levels": {
          "perturbation must be finite and >= 0, got inf"),
         ("analyze stability --mode dec --perturbation -0.001 --mask {m}", {},
          "perturbation must be finite and >= 0, got -0.001"),
+        ("analyze stability --mode rec --perturbation 1e308 --mask {m}", {},
+         "perturbation must be at most half the largest float, got 1e+308"),
         ("analyze stability --mode dec --trials -3 --mask {m}", {}, "trials must be >= 1, got -3"),
         ("analyze stability --mode rec --trials 0 --mask {m}", {}, "trials must be >= 1, got 0"),
         ("analyze decay --levels 70 --mask {m}", {}, "levels 70 with base 2 ask for"),
@@ -299,7 +314,8 @@ PYRAMID = '{{"coarse": [{}, 1.0], "details": [[0.0, 0.0, 0.0, 0.0]], "levels": {
         "config-nan", "pyramid-nan", "pyramid-levels", "kernel-nan", "tol-nan", "tol-zero",
         "tol-inf", "signal-not-text", "compress-eps-nan", "eps-grid-nan", "eps-grid-token",
         "stability-rec-perturbation-nan", "stability-rec-perturbation-inf",
-        "stability-dec-perturbation-negative", "stability-dec-trials",
+        "stability-dec-perturbation-negative", "stability-rec-perturbation-overflow",
+        "stability-dec-trials",
         "stability-rec-trials", "decay-levels-too-many", "decay-levels-58",
     ],
 )
@@ -378,11 +394,15 @@ def test_packed_refuses_leaking_even_details(tmp_path, capsys):
 def test_compress_packed_refuses_nonzero_even_details(tmp_path, capsys):
     mask = tmp_path / "cubic.json"
     mask.write_text(CUBIC)
+    delta = tmp_path / "delta.json"  # not the even-inverse of the cubic mask
+    delta.write_text('{"offset": 0, "coeffs": [1.0], "tol": 1e-12, "source": "custom", '
+                     '"certificate": null}')
     pyr = tmp_path / "p.json"
     assert run("decompose", "--signal", str(_signal_file(tmp_path, 256, 4)), "--mask", str(mask),
-               "--levels", "3", "--out", str(pyr)) == 0
+               "--levels", "3", "--mode", "kernel", "--kernel", str(delta),
+               "--out", str(pyr)) == 0
     evens = [v for level in load_json(str(pyr))["details"] for v in level[::2]]
-    assert any(evens)  # exact mode leaves rounding noise at the even indices
+    assert any(evens)  # the wrong kernel leaks real detail into the even indices
     out = tmp_path / "small.json"
     assert run("compress", "--pyramid", str(pyr), "--eps", "0", "--packed", "--out", str(out)) == 1
     err = capsys.readouterr().err

@@ -33,7 +33,7 @@ from evenrev import (
     upsample,
     upsample_mask,
 )
-from evenrev.laurent import circular_convolve
+from evenrev.laurent import circular_convolve, symbol_on_circle
 from evenrev.transform import MODES
 
 
@@ -216,11 +216,15 @@ def test_decompose_level_even_details_vanish():
 def test_decompose_one_level_equals_level_step():
     rng = np.random.default_rng(4)
     c = rng.uniform(-1, 1, 32)
-    # one level is one decimation and the residual against its upscaling
+    # one level is one decimation and the odd residual against its upscaling;
+    # the even residual is rounding, measured here and stored as 0.0
     pyr = decompose(c, bspline_mask(3), 1)
     coarse = decimate(c, bspline_mask(3))
     assert np.array_equal(pyr.coarse, coarse)
-    assert np.array_equal(pyr.details[0], c - subdivide(bspline_mask(3), coarse))
+    full = c - subdivide(bspline_mask(3), coarse)
+    assert pyr.details[0][1::2].tobytes() == full[1::2].tobytes()
+    assert np.all(pyr.details[0][::2] == 0.0)
+    assert np.max(np.abs(full[::2])) < 1e-12 * np.max(np.abs(c))
 
 
 def test_decompose_constant_signal():
@@ -280,6 +284,62 @@ def test_decompose_singular_even_symbol_raises_the_level_one_message(tap):
             decompose(c, mask, levels)
         assert str(got.value) == str(info.value)
     assert "(period 16)" in str(info.value)
+
+
+def test_decompose_guard_reaches_exact_mode():
+    mask = make_mask(0, [1.0, 0.5, 1.0 - 1e-10])  # |ev(-1)| = 1e-10, under the default guard
+    c = np.random.default_rng(21).uniform(-1, 1, 32)
+    with pytest.raises(DecimationSingularError):
+        decompose(c, mask, 2)
+    pyr = decompose(c, mask, 2, guard=1e-12)
+    scale = np.max(np.abs(pyr.coarse))  # |1/ev| reaches 1e10
+    assert np.max(np.abs(reconstruct(pyr, mask) - c)) < 1e-12 * scale
+    one = decompose(c, mask, 1, guard=1e-12)
+    assert one.coarse.tobytes() == decimate(c, mask, guard=1e-12).tobytes()
+
+
+def full_residual_decompose(c, alpha, levels):
+    """The whole-residual analysis loop: ``c - S_alpha(coarse)`` at every index.
+
+    Each level divides by every ``2**l``-th even-symbol value sampled once at
+    the finest coarse period.
+    """
+    ev = alpha.polyphase[0]
+    vals = symbol_on_circle(ev, c.shape[-1] // 2, half=True)
+    details = []
+    for level in range(levels):
+        ce = downsample(c)
+        if ev == delta():
+            coarse = ce
+        else:
+            coarse = np.fft.irfft(np.fft.rfft(ce, axis=-1) / vals[:: 1 << level], ce.shape[-1],
+                                  axis=-1)
+        details.append(c - subdivide(alpha, coarse))
+        c = coarse
+    return c, details[::-1]
+
+
+HYPOTHESIS_MASKS = list(catalog().values()) + [
+    pseudo_spline_mask(n, nu) for n in range(3, 11) for nu in range(n // 2)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(HYPOTHESIS_MASKS),
+    st.sampled_from([(), (3,)]),
+    st.integers(1, 5),
+    st.sampled_from([2, 3, 4, 6, 8]),
+    st.integers(0, 2**32 - 1),
+)
+def test_exact_decompose_is_the_full_residual_loop_at_odd_indices(mask, lead, levels, m, seed):
+    c = np.random.default_rng(seed).uniform(-1, 1, lead + (m << levels,))
+    pyr = decompose(c, mask, levels)
+    coarse, details = full_residual_decompose(c, mask, levels)
+    assert pyr.coarse.tobytes() == coarse.tobytes()
+    for got, want in zip(pyr.details, details):
+        assert got[..., 1::2].tobytes() == want[..., 1::2].tobytes()
+        assert not np.any(got[..., ::2])
 
 
 def test_decompose_validates_levels():
