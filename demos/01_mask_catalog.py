@@ -15,7 +15,7 @@ from evenrev import (
     even_part,
     is_interpolatory,
     min_modulus_on_circle,
-    normalization_check,
+    odd_part,
     pseudo_spline_mask,
     sup_norm_on_circle,
 )
@@ -37,12 +37,13 @@ print("its even part is the unit impulse:", even_part(pseudo_spline_mask(4, 1)).
 print("\nA dual (odd-order) pseudo-spline, built with half-integer binomials:")
 show("pseudo5_1", pseudo_spline_mask(5, 1))
 
-print("\nEvery catalog mask is normalized and even-reversible:")
-print(f"{'name':>12} {'normalized':>10} {'interp':>7} {'max|ev|':>9} {'min|ev|':>9}")
+print("\nEvery catalog mask keeps the sum rules (even and odd coefficients")
+print("each sum to exactly 1) and is even-reversible:")
+print(f"{'name':>12} {'sum ev':>6} {'sum od':>6} {'interp':>7} {'max|ev|':>9} {'min|ev|':>9}")
 for name, mask in catalog().items():
     ev = even_part(mask)
     print(
-        f"{name:>12} {str(normalization_check(mask)):>10} "
+        f"{name:>12} {str(ev.sum()):>6} {str(odd_part(mask).sum()):>6} "
         f"{str(is_interpolatory(mask)):>7} "
         f"{sup_norm_on_circle(ev):9.6f} {min_modulus_on_circle(ev):9.6f}"
     )

@@ -47,7 +47,6 @@ from .masks import (
     dd_mask,
     generalized_binomial,
     is_interpolatory,
-    normalization_check,
     pseudo_spline_mask,
 )
 from .inverse import (
@@ -64,7 +63,6 @@ from .inverse import (
     min_evensymbol_primal,
     one_norm_bound_C,
     pseudo_spline_gamma_norm2,
-    verify_inverse,
 )
 from .transform import Pyramid, decimate, decompose, reconstruct, synthesize, threshold_details
 from .analysis import (

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import ParameterError
 from .inverse import Kernel, even_inverse_spectral
 from .laurent import (
+    CIRCLE_SAMPLES,
+    GUARD,
     Mask,
     abs_moment,
     difference,
@@ -179,13 +181,14 @@ def decay_report(
     kernel: Kernel | None = None,
     params: dict | None = None,
     mask_id: str = "custom",
+    guard: float = GUARD,
 ) -> DecayReport:
     """Decompose a sampled test function and tabulate norms against bounds.
 
     Row ``l`` holds the sup norms of the level-``l`` difference and detail,
     the a-priori difference bound ``K * ||g||_1**(j-l) * 2**-l`` and the
     detail bound obtained by multiplying it with the combined moment
-    constant.  Level 0 has no detail.
+    constant.  Level 0 has no detail.  ``guard`` is :func:`decompose`'s.
     """
     if kernel is None:
         kernel = even_inverse_spectral(alpha)
@@ -195,7 +198,8 @@ def decay_report(
     g1 = norm_l1(kernel)
 
     # level 0 alone is the signal itself: a pyramid without details
-    pyramid = decompose(signal, alpha, levels, mode, kernel) if levels else Pyramid(signal, ())
+    pyramid = (decompose(signal, alpha, levels, mode, kernel, guard=guard)
+               if levels else Pyramid(signal, ()))
     delta_norms = [float(np.max(np.abs(difference(c)))) for c in synthesize(pyramid, alpha)]
     detail_norms = [None] + [float(np.max(np.abs(d))) for d in pyramid.details]
 
@@ -253,14 +257,14 @@ def subdivision_norm_inf(alpha: Mask) -> float:
     return max(norm_l1(even_part(alpha)), norm_l1(odd_part(alpha)))
 
 
-def subdivision_norm_2(alpha: Mask, samples: int = 16384) -> float:
+def subdivision_norm_2(alpha: Mask) -> float:
     """Exact l2 operator norm of one upscaling step.
 
     Equals the sup over the circle of ``sqrt((|alpha(z)|^2 + |alpha(-z)|^2)/2)``
     because upsampling spreads the spectrum over both half-circles.
     """
-    vals = np.abs(symbol_on_circle(alpha, samples)) ** 2
-    shifted = np.roll(vals, samples // 2)  # |alpha(-z_j)|^2 = |alpha(z_{j+n/2})|^2
+    vals = np.abs(symbol_on_circle(alpha, CIRCLE_SAMPLES)) ** 2
+    shifted = np.roll(vals, CIRCLE_SAMPLES // 2)  # |alpha(-z_j)|^2 = |alpha(z_{j+n/2})|^2
     return float(np.sqrt(np.max((vals + shifted) / 2.0)))
 
 
@@ -288,6 +292,11 @@ def _check_trials(trials: int, perturbation: float) -> None:
         raise ParameterError(f"trials must be >= 1, got {trials}")
 
 
+def _holds(measured: float, bound: float) -> bool:
+    """A trial's verdict: ``measured <= bound``, both finite (an overflow proves nothing)."""
+    return math.isfinite(measured) and math.isfinite(bound) and measured <= bound + 1e-12
+
+
 @dataclass(frozen=True)
 class StabilityTrial:
     """One perturbation trial: measured deviation vs. proven budget."""
@@ -310,6 +319,7 @@ class StabilityReport:
         return all(t.ok for t in self.trials)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow fails its trial, silently
 def reconstruction_stability_experiment(
     alpha: Mask,
     pyramid: Pyramid,
@@ -349,12 +359,13 @@ def reconstruction_stability_experiment(
         budget = k_sub * (
             float(np.max(np.abs(dc[t]))) + sum(float(np.max(np.abs(dd[t]))) for dd in dds)
         )
-        rows.append(StabilityTrial(t, measured, budget, measured <= budget + 1e-12))
+        rows.append(StabilityTrial(t, measured, budget, _holds(measured, budget)))
     return StabilityReport(
         "reconstruction", mask_id, tuple(rows), {"sup_norm": k_sub, "perturbation": perturbation}
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow fails its trial, silently
 def decomposition_stability_experiment(
     alpha: Mask,
     p="inf",
@@ -366,6 +377,7 @@ def decomposition_stability_experiment(
     mode: str = "exact",
     kernel: Kernel | None = None,
     mask_id: str = "custom",
+    guard: float = GUARD,
 ) -> StabilityReport:
     """Perturb input data and check the analysis stability bounds in ``l_p``.
 
@@ -373,7 +385,7 @@ def decomposition_stability_experiment(
     and by ``max |g(z)| = 1 / min |ev(z)|`` for ``p = 2``; details use the
     additional factor ``1 + ||S|| * ||D||``.  Each trial verifies both the
     coarse-data inequality and the per-level detail inequalities, and
-    records the worst measured-to-bound margin.
+    records the worst measured-to-bound margin.  ``guard`` is :func:`decompose`'s.
     """
     _check_trials(trials, perturbation)
     if kernel is None:
@@ -390,7 +402,7 @@ def decomposition_stability_experiment(
     draws = rng.uniform(-1.0, 1.0, (trials, 2, length))
     c = draws[:, 0]
     noise = draws[:, 1] * perturbation
-    both = decompose(np.concatenate([c, c + noise]), alpha, levels, mode=mode, kernel=kernel)
+    both = decompose(np.concatenate([c, c + noise]), alpha, levels, mode, kernel, guard=guard)
     diffs = [both.coarse[trials:] - both.coarse[:trials]]
     diffs += [d[trials:] - d[:trials] for d in both.details]
     rows = []
@@ -402,8 +414,7 @@ def decomposition_stability_experiment(
                 (_pnorm(diffs[level][t], p), residual_norm * d_norm ** (levels - level) * din)
             )
         measured, bound = max(checks, key=lambda mb: mb[0] - mb[1])
-        ok = all(m <= b + 1e-12 for m, b in checks)
-        rows.append(StabilityTrial(t, measured, bound, ok))
+        rows.append(StabilityTrial(t, measured, bound, all(_holds(m, b) for m, b in checks)))
     constants = {
         "p": str(p),
         "decimation_norm": d_norm,
@@ -445,18 +456,19 @@ def compression_experiment(
     kernel: Kernel | None = None,
     sup_norm: float | None = None,
     mask_id: str = "custom",
+    guard: float = GUARD,
 ) -> CompressionReport:
     """Hard-threshold the details over a grid of cutoffs and tabulate errors.
 
     For each cutoff the report lists the surviving detail fraction, the sup
     reconstruction error against the original signal, and the stability
     budget ``K_sub * sum_l ||d_l - d_l(eps)||_inf`` that provably dominates
-    the error.
+    the error.  ``guard`` is :func:`decompose`'s.
     """
     k_sub = sup_norm
     if k_sub is None:  # powers up to the depth bound every synthesis run here
         k_sub = estimate_subdivision_sup_norm(alpha, max_power=max(12, levels))
-    pyramid = decompose(signal, alpha, levels, mode=mode, kernel=kernel, mask_id=mask_id)
+    pyramid = decompose(signal, alpha, levels, mode, kernel, mask_id, guard)
     baseline = reconstruct(pyramid, alpha)
     rows = []
     for eps in eps_grid:

@@ -19,6 +19,7 @@ import numpy as np
 from . import analysis, selftest, serialize
 from .errors import EvenRevError, ParameterError
 from .inverse import even_inverse
+from .laurent import CIRCLE_SAMPLES, GUARD, INVERSE_TOL
 from .masks import bspline_mask, dd_mask, pseudo_spline_mask
 from .transform import decompose, reconstruct, synthesize, threshold_details
 
@@ -29,9 +30,9 @@ __all__ = ["RunConfig", "main"]
 class RunConfig:
     """Tunable defaults shared by the subcommands."""
 
-    circle_samples: int = 16384
-    guard_threshold: float = 1e-9
-    inverse_tol: float = 1e-12
+    circle_samples: int = CIRCLE_SAMPLES
+    guard_threshold: float = GUARD
+    inverse_tol: float = INVERSE_TOL
     seed: int = 0
     mode: str = "exact"
 
@@ -85,7 +86,7 @@ def _emit_rows(report, args) -> int:
     """Report rows as CSV to ``--out`` (or stdout), the whole report to ``--json``."""
     _write(serialize.rows_to_csv_text(report.rows), args.out)
     if args.json:
-        serialize.write_json_atomic(args.json, serialize.report_to_obj(report))
+        _emit(dataclasses.asdict(report), args.json)
     return 0
 
 
@@ -137,11 +138,7 @@ def _cmd_mask(args, cfg: RunConfig) -> int:
 
 def _cmd_invert(args, cfg: RunConfig) -> int:
     mask = _load_mask(args.mask)
-    tol = args.tol if args.tol is not None else cfg.inverse_tol
-    kernel = even_inverse(
-        mask, tol=tol, method=args.method,
-        guard=cfg.guard_threshold, samples=cfg.circle_samples,
-    )
+    kernel = _invert(mask, cfg, args.method, args.tol)
     _emit(serialize.kernel_to_obj(kernel), args.out)
     return 0
 
@@ -152,8 +149,14 @@ def _resolve_kernel(args, mask, cfg: RunConfig):
         return "exact", None
     if getattr(args, "kernel", None):
         return "kernel", serialize.kernel_from_obj(serialize.load_json(args.kernel))
-    return "kernel", even_inverse(
-        mask, tol=cfg.inverse_tol, guard=cfg.guard_threshold, samples=cfg.circle_samples
+    return "kernel", _invert(mask, cfg)
+
+
+def _invert(mask, cfg: RunConfig, method: str = "auto", tol: float | None = None):
+    """:func:`even_inverse` at the configured guard, circle grid and (unless ``tol``) tolerance."""
+    return even_inverse(
+        mask, tol=cfg.inverse_tol if tol is None else tol, method=method,
+        guard=cfg.guard_threshold, samples=cfg.circle_samples,
     )
 
 
@@ -195,25 +198,28 @@ def _cmd_compress(args, cfg: RunConfig) -> int:
 
 def _cmd_analyze(args, cfg: RunConfig) -> int:
     mask = _load_mask(args.mask)
+    guard = cfg.guard_threshold
     if args.analysis == "decay":
         mode, kernel = _resolve_kernel(args, mask, cfg)
         report = analysis.decay_report(
-            args.fn, args.levels, args.base, mask, mode=mode, kernel=kernel
+            args.fn, args.levels, args.base, mask, mode=mode,
+            kernel=_invert(mask, cfg, "spectral") if kernel is None else kernel, guard=guard,
         )
         return _emit_rows(report, args)
     if args.analysis == "stability":
         if args.stability_mode == "dec":
             report = analysis.decomposition_stability_experiment(
-                mask, p=args.p, trials=args.trials, seed=cfg.seed, perturbation=args.perturbation
+                mask, p=args.p, trials=args.trials, seed=cfg.seed, perturbation=args.perturbation,
+                kernel=_invert(mask, cfg, "spectral"), guard=guard,
             )
         else:
             rng = np.random.default_rng(cfg.seed)
             signal = rng.uniform(-1.0, 1.0, 256)
-            pyramid = decompose(signal, mask, 6)
+            pyramid = decompose(signal, mask, 6, guard=guard)
             report = analysis.reconstruction_stability_experiment(
                 mask, pyramid, args.perturbation, args.trials, seed=cfg.seed
             )
-        _emit(serialize.report_to_obj(report), args.out)
+        _emit(dataclasses.asdict(report), args.out)
         return 0 if report.all_ok else 1
     if args.analysis == "compress":
         signal = _load_signal(args.signal)
@@ -225,7 +231,7 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
                 raise ParameterError(f"--eps-grid token {tok!r} is not a number") from None
         if not grid:
             raise ParameterError("--eps-grid must list at least one threshold")
-        report = analysis.compression_experiment(signal, mask, args.levels, grid)
+        report = analysis.compression_experiment(signal, mask, args.levels, grid, guard=guard)
         return _emit_rows(report, args)
     raise ParameterError(f"unknown analysis {args.analysis!r}")
 

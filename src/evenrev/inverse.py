@@ -25,7 +25,7 @@ from .errors import (
     ParameterError,
     SlowDecayError,
 )
-from .laurent import Mask, symbol_on_circle
+from .laurent import CIRCLE_SAMPLES, GUARD, INVERSE_TOL, Mask, symbol_on_circle
 from .masks import PseudoSplineParams, bspline_mask, generalized_binomial
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "min_evensymbol_primal",
     "min_evensymbol_dual",
     "one_norm_bound_C",
-    "verify_inverse",
     "inverse_residual_l1",
 ]
 
@@ -71,9 +70,7 @@ class DecayCertificate:
     hypothesis_met: bool
 
     def bound(self, index: int) -> float:
-        """Certified magnitude bound at coefficient ``index``."""
-        if self.lam == 0.0:
-            return self.K if index == 0 else 0.0
+        """Certified magnitude bound at coefficient ``index`` (``0.0 ** 0`` is 1)."""
         return self.K * self.lam ** abs(index)
 
 
@@ -118,7 +115,7 @@ def _even_symbol(alpha: Mask, samples: int, guard: float):
 
 
 def check_even_reversible(
-    alpha: Mask, samples: int = 16384, guard: float = 1e-9
+    alpha: Mask, samples: int = CIRCLE_SAMPLES, guard: float = GUARD
 ) -> EvenReversibility:
     """Test ``|ev(z)| > guard`` on a unit-circle grid.
 
@@ -133,18 +130,33 @@ def check_even_reversible(
 # ---------------------------------------------------------------------------
 
 
+def _quadratic_tail(count: int) -> float:
+    """Mass ``2 * 3**-count`` of the quadratic inverse beyond its first ``count`` coefficients."""
+    return 2.0 * 3.0 ** (-count)
+
+
+def _cubic_tail(halfwidth: int) -> float:
+    """Mass of the cubic inverse beyond ``|k| <= halfwidth``: two geometric tails."""
+    return 2.0 * math.sqrt(2.0) * SQRT2_RATIO ** (halfwidth + 1) / (1.0 - SQRT2_RATIO)
+
+
+def _shortest(tail, length: int, tol: float) -> int:
+    """Smallest length from ``length`` on whose dropped ``tail(length)`` is within ``tol``."""
+    while tail(length) > tol:
+        length += 1
+    return length
+
+
 def even_inverse_closed_quadratic(count: int) -> Kernel:
     """One-sided inverse of the quadratic spline even part ``(3 + z)/4``.
 
-    Coefficients ``(4/3) * (-1/3)**k`` for ``k = 0 .. count-1``; the dropped
-    geometric tail has mass ``2 * 3**-count``.
+    Coefficients ``(4/3) * (-1/3)**k`` for ``k = 0 .. count-1``.
     """
     if count < 1:
         raise ParameterError("count must be >= 1")
     k = np.arange(count)
     coeffs = (4.0 / 3.0) * (-1.0 / 3.0) ** k
-    tail = 2.0 * 3.0 ** (-count)
-    return Kernel(0, coeffs, tail, "closed_quadratic")
+    return Kernel(0, coeffs, _quadratic_tail(count), "closed_quadratic")
 
 
 def even_inverse_closed_cubic(halfwidth: int) -> Kernel:
@@ -156,11 +168,10 @@ def even_inverse_closed_cubic(halfwidth: int) -> Kernel:
         raise ParameterError("halfwidth must be >= 0")
     k = np.arange(-halfwidth, halfwidth + 1)
     coeffs = math.sqrt(2.0) * (-SQRT2_RATIO) ** np.abs(k)
-    tail = 2.0 * math.sqrt(2.0) * SQRT2_RATIO ** (halfwidth + 1) / (1.0 - SQRT2_RATIO)
-    return Kernel(-halfwidth, coeffs, tail, "closed_cubic")
+    return Kernel(-halfwidth, coeffs, _cubic_tail(halfwidth), "closed_cubic")
 
 
-def cubic_series_constants(kmax: int, nterms: int | None = None):
+def cubic_series_constants(kmax: int):
     """Series sums behind the cubic closed form, by direct summation.
 
     Returns arrays ``a`` and ``b`` of length ``kmax + 1`` with
@@ -168,20 +179,18 @@ def cubic_series_constants(kmax: int, nterms: int | None = None):
     * ``a[k] = sum_n C(2(n+k), n) * 6**(-2(n+k))``
     * ``b[k] = sum_n C(2(n+k)+1, n) * 6**(-2(n+k)-1)``
 
-    The summand ratio stays below 4/9, so the default term count leaves a
-    tail under 1e-14; these sums are the independent oracle for the
-    geometric closed form of the cubic inverse.
+    The summand ratio stays below 4/9, so 96 terms leave a tail under
+    1e-14; these sums are the independent oracle for the geometric closed
+    form of the cubic inverse.
     """
     if kmax < 0:
         raise ParameterError("kmax must be >= 0")
-    if nterms is None:
-        nterms = 96
     a = np.zeros(kmax + 1)
     b = np.zeros(kmax + 1)
     for k in range(kmax + 1):
         sa = 0.0
         sb = 0.0
-        for n in range(nterms):
+        for n in range(96):
             sa += math.comb(2 * (n + k), n) * 6.0 ** (-2 * (n + k))
             sb += math.comb(2 * (n + k) + 1, n) * 6.0 ** (-2 * (n + k) - 1)
         a[k] = sa
@@ -202,11 +211,10 @@ def _periodized_inverse(ev: Mask, size: int) -> np.ndarray:
 
 def even_inverse_spectral(
     alpha: Mask,
-    tol: float = 1e-12,
-    guard: float = 1e-9,
+    tol: float = INVERSE_TOL,
+    guard: float = GUARD,
     max_size: int = 1 << 20,
-    certify: bool = True,
-    samples: int = 16384,
+    samples: int = CIRCLE_SAMPLES,
 ) -> Kernel:
     """Invert the even part of ``alpha`` by sampling ``1/ev`` at roots of unity.
 
@@ -254,10 +262,9 @@ def even_inverse_spectral(
                     f"||g*ev - delta||_1 = {residual:.3e} above tol {tol:.1e}; "
                     "a finer grid only adds rounding noise, so use a larger tol"
                 )
-            cert = _certificate(ev, vals, rev.min_modulus) if certify else None
-            if cert is not None and not cert.hypothesis_met:
-                cert = None
-            return Kernel(trimmed.offset, trimmed.coeffs, tol, "spectral", cert)
+            cert = _certificate(ev, vals, rev.min_modulus, guard)
+            return Kernel(trimmed.offset, trimmed.coeffs, tol, "spectral",
+                          cert if cert.hypothesis_met else None)
         prev = curr
     raise SlowDecayError(
         f"inverse coefficients did not stabilise below {tol:.1e} within {max_size} samples"
@@ -280,16 +287,17 @@ def _trim_kernel(values: np.ndarray, offset: int, tol: float) -> Mask:
 
 def even_inverse(
     alpha: Mask,
-    tol: float = 1e-12,
+    tol: float = INVERSE_TOL,
     method: str = "auto",
-    guard: float = 1e-9,
-    samples: int = 16384,
+    guard: float = GUARD,
+    samples: int = CIRCLE_SAMPLES,
 ) -> Kernel:
     """Dispatch between the closed forms and the spectral inverter.
 
     ``method="closed"`` serves only the quadratic and cubic spline masks;
     ``"auto"`` picks the closed form when the mask matches one of them and
-    the spectral route otherwise.
+    the spectral route otherwise.  A closed form is as long as the shortest
+    one whose dropped tail is within ``tol``.
     """
     if method not in ("auto", "closed", "spectral"):
         raise ParameterError(f"unknown method {method!r}")
@@ -299,14 +307,9 @@ def even_inverse(
         return even_inverse_spectral(alpha, tol=tol, guard=guard, samples=samples)
     f = alpha.astype_float()
     if f == bspline_mask(3).astype_float():
-        count = max(1, math.ceil(math.log(2.0 / tol) / math.log(3.0)))
-        return even_inverse_closed_quadratic(count)
+        return even_inverse_closed_quadratic(_shortest(_quadratic_tail, 1, tol))
     if f == bspline_mask(4).astype_float():
-        need = math.log(tol * (1.0 - SQRT2_RATIO) / (2.0 * math.sqrt(2.0)))
-        halfwidth = max(0, math.ceil(need / math.log(SQRT2_RATIO)) - 1)
-        while 2 * math.sqrt(2) * SQRT2_RATIO ** (halfwidth + 1) / (1 - SQRT2_RATIO) > tol:
-            halfwidth += 1
-        return even_inverse_closed_cubic(halfwidth)
+        return even_inverse_closed_cubic(_shortest(_cubic_tail, 0, tol))
     if method == "closed":
         raise ParameterError("closed-form inverses exist only for the quadratic and cubic spline masks")
     return even_inverse_spectral(alpha, tol=tol, guard=guard, samples=samples)
@@ -318,10 +321,7 @@ def even_inverse(
 
 
 def decay_certificate(
-    alpha: Mask,
-    samples: int = 16384,
-    guard: float = 1e-9,
-    require_positive: bool = False,
+    alpha: Mask, samples: int = CIRCLE_SAMPLES, guard: float = GUARD
 ) -> DecayCertificate:
     """Exponential-decay constants for the inverse of the even part.
 
@@ -329,16 +329,20 @@ def decay_certificate(
     / min|ev|`` with ``lam = q**(1/s)``; for ``kappa = 1`` the inverse is a
     pure impulse and the exact values ``lam = 0`` and ``K = 1/min|ev|`` are
     returned.  The bound is guaranteed only when the even symbol is real and
-    strictly positive on the circle; for asymmetric even parts the returned
-    constants are nominal (``hypothesis_met=False``), and with
-    ``require_positive=True`` such masks raise
-    :class:`CertificateUnavailableError` instead.
+    strictly positive on the circle; otherwise the returned constants are
+    nominal and ``hypothesis_met`` is ``False``.
     """
     ev, vals, rev = _even_symbol(alpha, samples, guard)
-    return _certificate(ev, vals, rev.min_modulus, guard, require_positive)
+    return _certificate(ev, vals, rev.min_modulus, guard)
 
 
-def _certificate(ev, vals, mn, guard=1e-9, require_positive=False) -> DecayCertificate:
+def _decay_constants(kappa: float, s: int):
+    """``(q, lam, amplitude)`` of the decay bound at ``kappa``, ``s``; ``K = amplitude/min|ev|``."""
+    q = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
+    return q, q ** (1.0 / s), max(1.0, (1.0 + math.sqrt(kappa)) ** 2 / (2.0 * kappa))
+
+
+def _certificate(ev, vals, mn, guard) -> DecayCertificate:
     mx = float(np.max(np.abs(vals)))
     if mn <= guard:
         raise CertificateUnavailableError(
@@ -351,79 +355,51 @@ def _certificate(ev, vals, mn, guard=1e-9, require_positive=False) -> DecayCerti
         and np.max(np.abs(vals.imag)) <= 1e-12 * max(1.0, mx)
         and np.min(vals.real) > guard
     )
-    if require_positive and not positive:
-        raise CertificateUnavailableError(
-            "even symbol is not real and strictly positive on the circle"
-        )
     kappa = mx / mn
     if kappa <= 1.0 + 1e-12:
         return DecayCertificate(1.0, ev.bandwidth, 0.0, 0.0, 1.0 / mn, positive)
-    s = ev.bandwidth
-    q = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
-    lam = q ** (1.0 / s)
-    K = max(1.0, (1.0 + math.sqrt(kappa)) ** 2 / (2.0 * kappa)) / mn
-    return DecayCertificate(kappa, s, q, lam, K, positive)
+    q, lam, amplitude = _decay_constants(kappa, ev.bandwidth)
+    return DecayCertificate(kappa, ev.bandwidth, q, lam, amplitude / mn, positive)
+
+
+def _min_even_symbol(n: int, nu: int) -> Fraction:
+    """Exact min |ev| of the order-``n`` type-``nu`` pseudo-spline, attained at ``z = -1``:
+    ``sum_{j<=nu} C(n/2 + nu, j) / 2**(floor((n-1)/2) + nu)`` (generalized binomials)."""
+    PseudoSplineParams(n, nu)
+    total = sum(generalized_binomial(Fraction(n, 2) + nu, j) for j in range(nu + 1))
+    return total / 2 ** ((n - 1) // 2 + nu)
 
 
 def pseudo_spline_gamma_norm2(n: int, nu: int) -> float:
-    """Spectral norm of the pseudo-spline even-inverse, in closed form.
-
-    Equals ``2**(floor((n-1)/2) + nu)`` over ``sum_{j<=nu} C(n/2 + nu, j)``
-    (generalized binomials for odd ``n``), which is also the reciprocal of
-    the minimum even-symbol modulus.
-    """
-    PseudoSplineParams(n, nu)
-    den = sum(generalized_binomial(Fraction(n, 2) + nu, j) for j in range(nu + 1))
-    return float(Fraction(2 ** ((n - 1) // 2 + nu)) / den)
+    """Spectral norm of the pseudo-spline even-inverse: ``1 / min |ev|``, in closed form."""
+    return float(1 / _min_even_symbol(n, nu))
 
 
 def min_evensymbol_primal(k: int, nu: int) -> float:
     """Minimum even-symbol modulus of the order-2k primal mask, closed form."""
-    if k < 1 or not 0 <= nu <= k - 1:
-        raise ParameterError(f"need k >= 1 and 0 <= nu <= k-1, got ({k}, {nu})")
-    total = sum(math.comb(k + nu, j) for j in range(nu + 1))
-    return float(Fraction(total, 2 ** (k + nu - 1)))
+    return float(_min_even_symbol(2 * k, nu))
 
 
 def min_evensymbol_dual(k: int, nu: int) -> float:
     """Minimum even-symbol modulus of the order-(2k+1) dual mask, closed form."""
-    if k < 1 or not 0 <= nu <= k - 1:
-        raise ParameterError(f"need k >= 1 and 0 <= nu <= k-1, got ({k}, {nu})")
-    total = sum(generalized_binomial(Fraction(2 * k + 1, 2) + nu, j) for j in range(nu + 1))
-    return float(total / Fraction(2 ** (k + nu)))
+    return float(_min_even_symbol(2 * k + 1, nu))
 
 
 def one_norm_bound_C(k: int, nu: int) -> float:
     """Upper bound on the one-norm of the order-2k primal even-inverse.
 
-    ``C = kappa * max(1, (1+sqrt(kappa))^2/(2*kappa)) * (1+lam)/(1-lam)``
-    with ``kappa = 2**(k+nu-1) / sum_{j<=nu} C(k+nu, j)`` and
+    ``C = kappa * amplitude * (1+lam)/(1-lam)`` with the constants of
+    :func:`decay_certificate` for ``kappa = 1 / min |ev|`` and
     ``s = floor((k+nu)/2)``.  The interpolatory case ``nu = k-1`` has
     ``kappa = 1`` and the exact value 1 is returned.
     """
-    if k < 2 or not 0 <= nu <= k - 1:
+    if k < 2:
         raise ParameterError(f"need k >= 2 and 0 <= nu <= k-1, got ({k}, {nu})")
-    kappa_exact = Fraction(2 ** (k + nu - 1), sum(math.comb(k + nu, j) for j in range(nu + 1)))
-    if kappa_exact == 1:
+    kappa = 1 / _min_even_symbol(2 * k, nu)
+    if kappa == 1:
         return 1.0
-    kappa = float(kappa_exact)
-    s = (k + nu) // 2
-    q = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
-    lam = q ** (1.0 / s)
-    return kappa * max(1.0, (1.0 + math.sqrt(kappa)) ** 2 / (2.0 * kappa)) * (1.0 + lam) / (1.0 - lam)
-
-
-# ---------------------------------------------------------------------------
-# verification
-# ---------------------------------------------------------------------------
-
-
-def verify_inverse(alpha: Mask, kernel: Mask, samples: int = 16384) -> float:
-    """Max over the sampled circle of ``|ev(z) * g(z) - 1|``."""
-    ev = alpha.polyphase[0]
-    n = max(samples, 4 * max(len(ev.coeffs), len(kernel.coeffs)))
-    vals = symbol_on_circle(ev, n, half=True) * symbol_on_circle(kernel, n, half=True)
-    return float(np.max(np.abs(vals - 1.0)))
+    _, lam, amplitude = _decay_constants(float(kappa), (k + nu) // 2)
+    return float(kappa) * amplitude * (1.0 + lam) / (1.0 - lam)
 
 
 def inverse_residual_l1(alpha: Mask, kernel: Mask) -> float:

@@ -76,6 +76,11 @@ __all__ = [
     "abs_moment",
 ]
 
+# Defaults: |ev| at or below GUARD counts as zero; the circle grid; an inverse's ||g*ev - delta||_1
+GUARD = 1e-9
+CIRCLE_SAMPLES = 16384
+INVERSE_TOL = 1e-12
+
 
 def _is_exact(x) -> bool:
     return isinstance(x, Rational)
@@ -193,9 +198,6 @@ class Mask:
         return Mask(self.offset + amount, self.coeffs)
 
     # -- symbol evaluation ---------------------------------------------------
-
-    def __call__(self, z):
-        return self.symbol(z)
 
     def symbol(self, z):
         """Evaluate ``sum_k m_k z**k`` at a complex point or array of points."""
@@ -382,13 +384,13 @@ def _validated_samples(m: Mask, samples: int) -> None:
         )
 
 
-def sup_norm_on_circle(m: Mask, samples: int = 16384) -> float:
+def sup_norm_on_circle(m: Mask, samples: int = CIRCLE_SAMPLES) -> float:
     """Max of ``|m(z)|`` over a power-of-two grid of unit-circle points."""
     _validated_samples(m, samples)
     return float(np.max(np.abs(symbol_on_circle(m, samples, half=True))))
 
 
-def min_modulus_on_circle(m: Mask, samples: int = 16384) -> float:
+def min_modulus_on_circle(m: Mask, samples: int = CIRCLE_SAMPLES) -> float:
     """Min of ``|m(z)|`` over a power-of-two grid of unit-circle points."""
     _validated_samples(m, samples)
     return float(np.min(np.abs(symbol_on_circle(m, samples, half=True))))

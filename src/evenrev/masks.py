@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError
-from .laurent import Mask, delta, even_part, make_mask, odd_part, convolve
+from .laurent import Mask, convolve, delta, make_mask
 
 __all__ = [
     "PseudoSplineParams",
@@ -21,7 +21,6 @@ __all__ = [
     "pseudo_spline_mask",
     "dd_mask",
     "is_interpolatory",
-    "normalization_check",
     "catalog",
 ]
 
@@ -109,17 +108,6 @@ def is_interpolatory(m: Mask, tol: float = 1e-12) -> bool:
         return False
     diff = ev - delta(1.0)
     return all(abs(float(c)) <= tol for c in diff.coeffs)
-
-
-def normalization_check(m: Mask) -> bool:
-    """True iff even and odd coefficient sums both equal 1.
-
-    Exact for rational masks; floats are compared to within 1e-12.
-    """
-    sums = (even_part(m).sum(), odd_part(m).sum())
-    if m.is_rational:
-        return sums[0] == 1 and sums[1] == 1
-    return all(abs(float(s) - 1.0) <= 1e-12 for s in sums)
 
 
 def catalog() -> dict[str, Mask]:

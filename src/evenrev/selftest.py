@@ -58,8 +58,8 @@ _SQRT2 = math.sqrt(2.0)
 
 
 @lru_cache(maxsize=None)
-def _kern(mask: Mask, tol: float = 1e-12) -> Kernel:
-    return even_inverse_spectral(mask, tol=tol)
+def _kern(mask: Mask) -> Kernel:
+    return even_inverse_spectral(mask)
 
 
 def _check(ok: bool, message: str) -> None:

@@ -28,7 +28,6 @@ from .laurent import Mask, make_mask
 from .transform import Pyramid
 
 __all__ = [
-    "fmt_float",
     "mask_to_obj",
     "mask_from_obj",
     "kernel_to_obj",
@@ -37,18 +36,11 @@ __all__ = [
     "pyramid_from_obj",
     "signal_to_csv_text",
     "signal_from_csv_text",
-    "report_to_obj",
     "rows_to_csv_text",
     "dump_json",
     "write_text_atomic",
-    "write_json_atomic",
     "load_json",
 ]
-
-
-def fmt_float(x: float) -> str:
-    """Decimal form with 17 significant digits (exact float round-trip)."""
-    return format(float(x), ".17g")
 
 
 def _float_list(values) -> list[float]:
@@ -138,14 +130,8 @@ def mask_from_obj(obj: dict) -> Mask:
 def _certificate_to_obj(cert: DecayCertificate | None):
     if cert is None:
         return None
-    return {
-        "kappa": cert.kappa,
-        "s": cert.s,
-        "q": cert.q,
-        "lambda": cert.lam,
-        "K": cert.K,
-        "hypothesis_met": cert.hypothesis_met,
-    }
+    # the fields in their order, with ``lam`` under its symbol's name
+    return {"lambda" if k == "lam" else k: v for k, v in dataclasses.asdict(cert).items()}
 
 
 def _certificate_from_obj(obj) -> DecayCertificate | None:
@@ -272,13 +258,8 @@ def signal_from_csv_text(text: str) -> np.ndarray:
     return values
 
 
-def report_to_obj(report) -> dict:
-    """Generic dataclass-report serialization (rows become objects)."""
-    return dataclasses.asdict(report)
-
-
 def rows_to_csv_text(rows) -> str:
-    """CSV text for a sequence of flat dataclass rows (header included)."""
+    """CSV text for flat dataclass rows (header included); floats keep 17 significant digits."""
     rows = list(rows)
     if not rows:
         return ""
@@ -291,7 +272,7 @@ def rows_to_csv_text(rows) -> str:
             if v is None:
                 cells.append("")
             elif isinstance(v, float):
-                cells.append(fmt_float(v))
+                cells.append("%.17g" % v)
             else:
                 cells.append(str(v))
         lines.append(",".join(cells))
@@ -355,10 +336,6 @@ def write_text_atomic(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_json_atomic(path: str, obj) -> None:
-    write_text_atomic(path, dump_json(obj))
 
 
 def load_json(path: str):

@@ -53,6 +53,7 @@ from .errors import (
 )
 from .inverse import Kernel, even_inverse_spectral
 from .laurent import (
+    GUARD,
     Mask,
     _periodic_convolve,
     _signal,
@@ -144,7 +145,7 @@ def decimate(
     alpha: Mask,
     mode: str = "exact",
     kernel: Kernel | None = None,
-    guard: float = 1e-9,
+    guard: float = GUARD,
 ) -> np.ndarray:
     """Halve the period: convolve the downsampled data with the even-inverse.
 
@@ -166,7 +167,7 @@ def decompose(
     mode: str = "exact",
     kernel: Kernel | None = None,
     mask_id: str = "custom",
-    guard: float = 1e-9,
+    guard: float = GUARD,
 ) -> Pyramid:
     """Run ``levels`` analysis steps, finest data in, coarse-plus-details out.
 

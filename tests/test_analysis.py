@@ -2,11 +2,15 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from evenrev import (
+    DecimationSingularError,
+    Kernel,
+    Mask,
     ParameterError,
     bspline_mask,
     catalog,
@@ -445,6 +449,48 @@ def test_stability_experiments_refuse_a_perturbation_whose_range_overflows(pertu
         decomposition_stability_experiment(mask, trials=2, perturbation=perturbation)
     with pytest.raises(ParameterError, match=message):
         reconstruction_stability_experiment(mask, pyr, perturbation, 2)
+
+
+def test_stability_trials_that_overflow_fail_without_warnings():
+    # 8e307 passes the range check, but the transforms of such noise overflow:
+    # an infinite (or NaN) measurement proves nothing, so its trial fails
+    mask = bspline_mask(4)
+    _, pyr = _pyramid(mask)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = [
+            reconstruction_stability_experiment(mask, pyr, 8e307, 2),
+            decomposition_stability_experiment(mask, p="inf", trials=2, perturbation=8e307),
+            decomposition_stability_experiment(mask, p="2", trials=2, perturbation=8e307),
+        ]
+    for report in reports:
+        assert not report.all_ok, report.kind
+        for t in report.trials:
+            assert not t.ok and not (math.isfinite(t.measured) and math.isfinite(t.bound))
+
+
+def test_stability_verdict_needs_a_finite_measurement_and_bound():
+    from evenrev.analysis import _holds
+
+    assert _holds(1.0, 1.0) and _holds(1.0 + 1e-13, 1.0) and not _holds(1.1, 1.0)
+    for measured, bound in [(math.inf, math.inf), (1.0, math.inf), (math.nan, 1.0), (math.inf, 1.0)]:
+        assert not _holds(measured, bound), (measured, bound)
+
+
+def test_analysis_experiments_take_the_guard():
+    # |ev(-1)| = 1e-10: below the default guard, above 1e-12
+    near = Mask(0, (1.0, 0.5, 1.0 - 1e-10))
+    signal = sample_function("sine", 5)
+    kernel = Kernel(0, np.array([1.0]), 1.0, "custom")  # any kernel: exact mode ignores it
+    with pytest.raises(DecimationSingularError):
+        compression_experiment(signal, near, 3, [0.0])
+    with pytest.raises(DecimationSingularError):
+        decomposition_stability_experiment(near, trials=2, kernel=kernel)
+    with pytest.raises(DecimationSingularError):
+        decay_report("sine", 5, 2, near, kernel=kernel)
+    assert compression_experiment(signal, near, 3, [0.0], guard=1e-12).levels == 3
+    assert len(decomposition_stability_experiment(near, trials=2, kernel=kernel, guard=1e-12).trials) == 2
+    assert len(decay_report("sine", 5, 2, near, kernel=kernel, guard=1e-12).rows) == 6
 
 
 # ---------------------------------------------------------------------------

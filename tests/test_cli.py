@@ -251,6 +251,56 @@ def test_config_guard_threshold_reaches_exact_decompose(tmp_path, capsys):
     assert load_json(str(tmp_path / "p.json"))["levels"] == 2
 
 
+def test_config_guard_threshold_reaches_analyze(tmp_path, capsys):
+    mask = tmp_path / "near.json"  # even symbol 1 + (1 - 1e-10) z: |ev(-1)| = 1e-10
+    mask.write_text('{"offset": 0, "coeffs": [1.0, 0.5, 0.9999999999]}')
+    m, out = ["--mask", str(mask)], ["--out", str(tmp_path / "out")]
+    signal = str(_signal_file(tmp_path, 64, 6))
+    runs = {
+        "compress": ["analyze", "compress", "--signal", signal, *m, "--levels", "3",
+                     "--eps-grid", "0,1e-3", *out],
+        "rec": ["analyze", "stability", "--mode", "rec", "--trials", "2", *m, *out],
+        "dec": ["analyze", "stability", "--mode", "dec", "--trials", "2", *m, *out],
+        "decay": ["analyze", "decay", "--levels", "4", *m, *out],
+    }
+    for name, argv in runs.items():  # the default guard refuses the mask everywhere
+        assert run(*argv) == 1, name
+        err = capsys.readouterr().err
+        assert "vanishes" in err or "below the guard 1.0e-09" in err, (name, err)
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"guard_threshold": 1e-12}')
+    for name in ("compress", "rec"):
+        assert run("--config", str(cfg), *runs[name]) == 0, name
+    # dec and decay take the bounds' constants from a spectral kernel; with the
+    # guard passed, its inversion is what stops them: a root 1e-10 from the
+    # circle decays too slowly for any grid up to 2**20
+    for name in ("dec", "decay"):
+        assert run("--config", str(cfg), *runs[name]) == 1, name
+        err = capsys.readouterr().err
+        assert "guard" not in err and "did not stabilise" in err, (name, err)
+
+
+@pytest.mark.parametrize("mode", ["rec", "dec"])
+def test_analyze_stability_overflow_fails_quietly(tmp_path, mode):
+    # a perturbation just under the range limit overflows the transforms: the
+    # report is written, its trials fail, and nothing reaches stderr, even as
+    # errors under -W error
+    mask = tmp_path / "cubic.json"
+    mask.write_text(CUBIC)
+    out = tmp_path / "report.json"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "evenrev.cli", "analyze", "stability",
+         "--mode", mode, "--perturbation", "8e307", "--trials", "2", "--mask", str(mask),
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (1, "", "")
+    trials = json.loads(out.read_text())["trials"]  # json reads Infinity and NaN
+    assert len(trials) == 2 and not any(t["ok"] for t in trials)
+
+
 def test_config_file_applies(tmp_path, quadratic_mask, capsys):
     cfg = tmp_path / "config.json"
     write_text_atomic(str(cfg), json.dumps({"circle_samples": 2048, "inverse_tol": 1e-10}) + "\n")

@@ -15,7 +15,7 @@ from evenrev import (
     generalized_binomial,
     is_interpolatory,
     make_mask,
-    normalization_check,
+    odd_part,
     pseudo_spline_mask,
 )
 from evenrev.inverse import min_evensymbol_primal
@@ -117,9 +117,10 @@ def test_is_interpolatory_with_zero_tol_asks_for_the_exact_unit_impulse():
 
 
 def test_normalization_check():
+    # the sum rules: even and odd coefficients each sum to exactly 1
     for name, m in catalog().items():
-        assert normalization_check(m), name
-    assert not normalization_check(make_mask(0, [2]))
+        assert (even_part(m).sum(), odd_part(m).sum()) == (1, 1), name
+    assert even_part(make_mask(0, [2])).sum() == 2
 
 
 def test_generalized_binomial_pascal_identity():

@@ -19,7 +19,6 @@ from evenrev import (
 from evenrev.inverse import DecayCertificate, Kernel, even_inverse_spectral
 from evenrev.serialize import (
     dump_json,
-    fmt_float,
     kernel_from_obj,
     kernel_to_obj,
     load_json,
@@ -27,6 +26,7 @@ from evenrev.serialize import (
     mask_to_obj,
     pyramid_from_obj,
     pyramid_to_obj,
+    rows_to_csv_text,
     signal_from_csv_text,
     signal_to_csv_text,
     write_text_atomic,
@@ -34,8 +34,15 @@ from evenrev.serialize import (
 
 
 def test_fmt_float_roundtrip():
-    for x in (1 / 3, 2.0, -1e-300, 4 / 3 * (-1 / 3) ** 7, np.pi):
-        assert float(fmt_float(x)) == x
+    # the float cells of a report's CSV text read back as the same floats
+    values = (1 / 3, 2.0, -1e-300, 4 / 3 * (-1 / 3) ** 7, np.pi)
+    rows = [DecayCertificate(x, 1, x, x, x, True) for x in values]
+    lines = rows_to_csv_text(rows).splitlines()
+    assert lines[0] == "kappa,s,q,lam,K,hypothesis_met" and len(lines) == 1 + len(values)
+    for x, line in zip(values, lines[1:]):
+        cells = line.split(",")
+        assert [float(cells[i]) for i in (0, 2, 3, 4)] == [x] * 4
+        assert cells[1] == "1" and cells[5] == "True"
 
 
 def test_rational_mask_roundtrip_is_lossless():
