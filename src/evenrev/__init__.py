@@ -64,7 +64,7 @@ from .inverse import (
     one_norm_bound_C,
     pseudo_spline_gamma_norm2,
 )
-from .transform import Pyramid, decimate, decompose, reconstruct, synthesize, threshold_details
+from .transform import Pyramid, decimate, decompose, reconstruct, threshold_details
 from .analysis import (
     compression_experiment,
     decay_report,

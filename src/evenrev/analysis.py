@@ -28,7 +28,7 @@ from .laurent import (
     odd_part,
     symbol_on_circle,
 )
-from .transform import Pyramid, decompose, reconstruct, synthesize, threshold_details
+from .transform import Pyramid, _analysis, decompose, reconstruct, threshold_details
 
 __all__ = [
     "sample_function",
@@ -191,25 +191,21 @@ def decay_report(
     constant.  Level 0 has no detail.  ``guard`` is :func:`decompose`'s.
     """
     if kernel is None:
-        kernel = even_inverse_spectral(alpha)
+        kernel = even_inverse_spectral(alpha, guard=guard)
     signal = sample_function(kind, levels, base, params)
     fprime = derivative_bound(kind, params)
     moments = filter_moment_constants(alpha, kernel)
     g1 = norm_l1(kernel)
 
-    # level 0 alone is the signal itself: a pyramid without details
-    pyramid = (decompose(signal, alpha, levels, mode, kernel, guard=guard)
-               if levels else Pyramid(signal, ()))
-    delta_norms = [float(np.max(np.abs(difference(c)))) for c in synthesize(pyramid, alpha)]
-    detail_norms = [None] + [float(np.max(np.abs(d))) for d in pyramid.details]
-
     rows = []
-    for level in range(levels + 1):
+    steps = _analysis(signal, alpha, levels, mode, kernel, guard)  # finest level first
+    for level, (c, d) in zip(range(levels, -1, -1), steps):
         bound_delta = fprime * g1 ** (levels - level) * 2.0 ** (-level)
+        detail_norm = float(np.max(np.abs(d))) if level else None
         bound_detail = moments.k_combined * bound_delta if level else None
-        rows.append(
-            DecayRow(level, delta_norms[level], detail_norms[level], bound_delta, bound_detail)
-        )
+        rows.append(DecayRow(
+            level, float(np.max(np.abs(difference(c)))), detail_norm, bound_delta, bound_detail
+        ))
     constants = {
         "fprime_bound": fprime,
         "k_alpha": moments.k_alpha,
@@ -217,7 +213,7 @@ def decay_report(
         "k_combined": moments.k_combined,
         "gamma_norm1": g1,
     }
-    return DecayReport(kind, levels, base, mask_id, mode, tuple(rows), constants)
+    return DecayReport(kind, levels, base, mask_id, mode, tuple(rows[::-1]), constants)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +264,12 @@ def subdivision_norm_2(alpha: Mask) -> float:
     return float(np.sqrt(np.max((vals + shifted) / 2.0)))
 
 
-def _pnorm(x: np.ndarray, p) -> float:
-    if p in (2, 2.0, "2"):
-        return float(np.linalg.norm(x))
-    if p in (np.inf, math.inf, "inf"):
-        return float(np.max(np.abs(x))) if x.size else 0.0
+def _norm_order(p) -> float:
+    """``p`` in ``{2, inf}`` from any of its spellings, as :func:`numpy.linalg.norm`'s ``ord``."""
+    if p in (2, "2"):
+        return 2
+    if p in (math.inf, "inf"):
+        return math.inf
     raise ParameterError(f"only p in {{2, inf}} is supported, got {p!r}")
 
 
@@ -388,12 +385,13 @@ def decomposition_stability_experiment(
     records the worst measured-to-bound margin.  ``guard`` is :func:`decompose`'s.
     """
     _check_trials(trials, perturbation)
-    if kernel is None:
-        kernel = even_inverse_spectral(alpha)
-    if p in (2, 2.0, "2"):
+    p = _norm_order(p)
+    if p == 2:  # the bound needs no kernel; kernel mode without one builds its own
         d_norm = 1.0 / min_modulus_on_circle(even_part(alpha))
         s_norm = subdivision_norm_2(alpha)
     else:
+        if kernel is None:
+            kernel = even_inverse_spectral(alpha, guard=guard)
         d_norm = norm_l1(kernel) + kernel.tol
         s_norm = subdivision_norm_inf(alpha)
     residual_norm = 1.0 + s_norm * d_norm
@@ -407,12 +405,11 @@ def decomposition_stability_experiment(
     diffs += [d[trials:] - d[:trials] for d in both.details]
     rows = []
     for t in range(trials):
-        din = _pnorm(noise[t], p)
-        checks = [(_pnorm(diffs[0][t], p), d_norm ** levels * din)]
+        din = float(np.linalg.norm(noise[t], p))
+        checks = [(float(np.linalg.norm(diffs[0][t], p)), d_norm ** levels * din)]
         for level in range(1, levels + 1):
-            checks.append(
-                (_pnorm(diffs[level][t], p), residual_norm * d_norm ** (levels - level) * din)
-            )
+            norm = float(np.linalg.norm(diffs[level][t], p))
+            checks.append((norm, residual_norm * d_norm ** (levels - level) * din))
         measured, bound = max(checks, key=lambda mb: mb[0] - mb[1])
         rows.append(StabilityTrial(t, measured, bound, all(_holds(m, b) for m, b in checks)))
     constants = {

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from .errors import EvenRevError, ParameterError
 from .inverse import even_inverse
 from .laurent import CIRCLE_SAMPLES, GUARD, INVERSE_TOL
 from .masks import bspline_mask, dd_mask, pseudo_spline_mask
-from .transform import decompose, reconstruct, synthesize, threshold_details
+from .transform import _analysis, _pyramid, decompose, reconstruct, threshold_details
 
 __all__ = ["RunConfig", "main"]
 
@@ -103,9 +102,9 @@ def _load_signal(path: str) -> np.ndarray:
     return serialize.signal_from_csv_text(text)
 
 
-def _check_packable(pyramid, limits) -> None:
+def _check_packable(details, limits) -> None:
     """Refuse ``--packed`` when a level's even details exceed its limit: packing drops them."""
-    leaks = [float(np.max(np.abs(d[::2]))) for d in pyramid.details]
+    leaks = [float(np.max(np.abs(d[::2]))) for d in details]
     over = [(leak, level, limit)
             for level, (leak, limit) in enumerate(zip(leaks, limits), start=1) if leak > limit]
     if over:
@@ -164,17 +163,15 @@ def _cmd_decompose(args, cfg: RunConfig) -> int:
     mask = _load_mask(args.mask)
     signal = _load_signal(args.signal)
     mode, kernel = _resolve_kernel(args, mask, cfg)
-    pyramid = decompose(
-        signal, mask, args.levels, mode=mode, kernel=kernel, mask_id=args.mask_id,
-        guard=cfg.guard_threshold,
-    )
+    steps = _analysis(signal, mask, args.levels, mode, kernel, cfg.guard_threshold)
     if args.packed and kernel is not None:
         # A kernel of residual tol leaves even details up to tol * max|c_l| at
-        # level l; c_l is rebuilt by re-synthesis.  Exact mode stores 0.0 there.
+        # level l, c_l as the analysis made it.  Exact mode stores 0.0 there.
+        steps = list(steps)  # (c_J, d_J), ..., (c_1, d_1), (c_0, None)
         floor = 1e-10 * max(1.0, float(np.max(np.abs(signal))))
-        finer = itertools.islice(synthesize(pyramid, mask), 1, None)  # c_1 .. c_J, one at a time
-        limits = [1.01 * kernel.tol * float(np.max(np.abs(c))) + floor for c in finer]
-        _check_packable(pyramid, limits)
+        limits = [1.01 * kernel.tol * float(np.max(np.abs(c))) + floor for c, _ in steps[-2::-1]]
+        _check_packable([d for _, d in steps[-2::-1]], limits)
+    pyramid = _pyramid(steps, args.mask_id)
     _emit(serialize.pyramid_to_obj(pyramid, packed=args.packed), args.out)
     return 0
 
@@ -190,7 +187,7 @@ def _cmd_compress(args, cfg: RunConfig) -> int:
     pyramid = serialize.pyramid_from_obj(serialize.load_json(args.pyramid))
     squeezed, kept, total = threshold_details(pyramid, args.eps)
     if args.packed:
-        _check_packable(squeezed, [0.0] * squeezed.levels)
+        _check_packable(squeezed.details, [0.0] * squeezed.levels)
     _emit(serialize.pyramid_to_obj(squeezed, packed=args.packed), args.out)
     sys.stderr.write(f"kept {kept} of {total} detail entries\n")
     return 0
@@ -210,7 +207,7 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
         if args.stability_mode == "dec":
             report = analysis.decomposition_stability_experiment(
                 mask, p=args.p, trials=args.trials, seed=cfg.seed, perturbation=args.perturbation,
-                kernel=_invert(mask, cfg, "spectral"), guard=guard,
+                kernel=_invert(mask, cfg, "spectral") if args.p == "inf" else None, guard=guard,
             )
         else:
             rng = np.random.default_rng(cfg.seed)

@@ -26,15 +26,15 @@ Two decimation modes, one dispatch for :func:`decimate` and :func:`decompose`:
   :class:`~evenrev.inverse.Kernel`, matching the bi-infinite formulation and
   exercising the truncation budget.  A kernel is a mask, so this is the same
   :func:`~evenrev.laurent.circular_convolve` that any mask goes through.
-  The whole residual against ``S_alpha(coarse)`` is stored, even phase
-  included, since its even entries are the truncation leak that the budget
-  bounds.
+  Its level also predicts the even samples, so the whole residual is stored:
+  its even entries are the truncation leak that the budget bounds.
 
-:func:`synthesize` yields each level's data, coarsest first, and
-:func:`reconstruct` is its last value.  All of them work along the last axis
-of ``(..., N)`` arrays, as the :mod:`~evenrev.laurent` operators do, so a
-:class:`Pyramid` may hold a batch of signals' pyramids (every detail has the
-coarse data's leading shape).  Pyramid files stay 1-D:
+One private generator runs the analysis and yields each level's data with
+its detail; :func:`decompose`, the decay report and ``--packed`` read it, so
+nothing re-synthesizes.  All of these, and :func:`reconstruct`, work along
+the last axis of ``(..., N)`` arrays, as the :mod:`~evenrev.laurent`
+operators do, so a :class:`Pyramid` may hold a batch of signals' pyramids
+(every detail has the coarse data's leading shape).  Pyramid files stay 1-D:
 :func:`~evenrev.serialize.pyramid_to_obj` refuses a batched pyramid.
 """
 
@@ -65,7 +65,7 @@ from .laurent import (
 )
 from .masks import is_interpolatory
 
-__all__ = ["Pyramid", "decimate", "decompose", "synthesize", "reconstruct", "threshold_details"]
+__all__ = ["Pyramid", "decimate", "decompose", "reconstruct", "threshold_details"]
 
 MODES = ("exact", "kernel")
 
@@ -123,7 +123,7 @@ def _halving(alpha: Mask, n: int, mode: str, kernel: Kernel | None, guard: float
         raise ParameterError(f"unknown decimation mode {mode!r}; use one of {MODES}")
     if mode == "kernel":
         if kernel is None:
-            kernel = even_inverse_spectral(alpha)
+            kernel = even_inverse_spectral(alpha, guard=guard)
         return lambda ce, level: circular_convolve(kernel, ce)
     if is_interpolatory(alpha, tol=0.0):
         return lambda ce, level: ce
@@ -160,6 +160,37 @@ def decimate(
     return _halving(alpha, c.shape[-1], mode, kernel, guard)(downsample(c), 0)
 
 
+def _analysis(c, alpha: Mask, levels: int, mode: str, kernel: Kernel | None, guard: float):
+    """Yield :func:`decompose`'s ``(c_J, d_J), ..., (c_1, d_1)``, then ``(c_0, None)``."""
+    c = _signal(c)
+    n = c.shape[-1]
+    if levels < 0 or n % (1 << levels) or n >> levels < 2:
+        raise LevelError(
+            f"period {n} does not support {levels} halvings with >= 2 coarse samples"
+        )
+    halve = _halving(alpha, n, mode, kernel, guard)
+    for level in range(levels):
+        coarse = halve(c[..., ::2], level)  # a view, not a copy: nothing here writes into c
+        detail = np.zeros(c.shape)
+        for parity in (0, 1) if mode == "kernel" else (1,):
+            phase = alpha.polyphase[parity]
+            pred = _periodic_convolve(phase.offset, phase.floats, coarse)
+            np.subtract(c[..., parity::2], pred, out=detail[..., parity::2])
+        yield c, detail
+        c = coarse
+    yield c, None
+
+
+def _pyramid(steps, mask_id: str) -> Pyramid:
+    """The :class:`Pyramid` of :func:`_analysis`'s steps."""
+    details = []
+    for coarse, detail in steps:  # one level's data alive at a time
+        details.append(detail)
+    if len(details) < 2:  # c_0 alone, without a detail
+        raise LevelError("need at least one level, got 0")
+    return Pyramid(coarse, tuple(details[-2::-1]), mask_id)
+
+
 def decompose(
     c,
     alpha: Mask,
@@ -175,49 +206,15 @@ def decompose(
     exact ``0.0``; kernel mode stores the whole residual.  ``guard`` is
     :func:`decimate`'s bound on the even symbol's modulus.
     """
-    c = _signal(c)
-    if levels < 1:
-        raise LevelError(f"need at least one level, got {levels}")
-    n = c.shape[-1]
-    if n % (1 << levels) or n // (1 << levels) < 2:
-        raise LevelError(
-            f"period {n} does not support {levels} halvings with >= 2 coarse samples"
-        )
-    halve = _halving(alpha, n, mode, kernel, guard)
-    od = alpha.polyphase[1]
-    details = []
-    for level in range(levels):
-        coarse = halve(c[..., ::2], level)  # a view, not a copy: nothing here writes into c
-        if mode == "exact":
-            detail = np.zeros(c.shape)
-            odd = _periodic_convolve(od.offset, od.floats, coarse)
-            np.subtract(c[..., 1::2], odd, out=detail[..., 1::2])
-        else:
-            detail = subdivide(alpha, coarse)
-            np.subtract(c, detail, out=detail)  # in place: one array less per level
-        details.append(detail)
-        c = coarse
-    details.reverse()  # store coarsest-level detail first
-    return Pyramid(c, tuple(details), mask_id)
-
-
-def synthesize(p: Pyramid, alpha: Mask):
-    """Yield each level's data ``c_0 = coarse, ..., c_J``, where ``c_l = S_alpha(c_{l-1}) + d_l``.
-
-    Each yielded array is new and never modified afterwards.
-    """
-    c = np.array(p.coarse, dtype=float)
-    yield c
-    for d in p.details:
-        c = subdivide(alpha, c)
-        c += d  # in place: one array less per level
-        yield c
+    return _pyramid(_analysis(c, alpha, levels, mode, kernel, guard), mask_id)
 
 
 def reconstruct(p: Pyramid, alpha: Mask) -> np.ndarray:
-    """Exact synthesis: the finest level of :func:`synthesize`, inverting :func:`decompose`."""
-    for c in synthesize(p, alpha):
-        pass
+    """Synthesis ``c_l = S_alpha(c_{l-1}) + d_l`` into a new array, inverting :func:`decompose`."""
+    c = np.array(p.coarse, dtype=float)
+    for d in p.details:
+        c = subdivide(alpha, c)
+        c += d  # in place: one array less per level
     return c
 
 

@@ -12,6 +12,7 @@ from evenrev import (
     Kernel,
     Mask,
     ParameterError,
+    SlowDecayError,
     bspline_mask,
     catalog,
     compression_experiment,
@@ -30,6 +31,7 @@ from evenrev import (
     sample_function,
     subdivide,
 )
+from evenrev import analysis as analysis_module
 from evenrev.analysis import StabilityTrial, subdivision_norm_2, subdivision_norm_inf
 from evenrev.inverse import SQRT2_RATIO
 from evenrev.laurent import convolve, difference, upsample_mask
@@ -154,8 +156,8 @@ def test_decay_report_without_levels_has_the_signal_row_alone():
 
 
 def test_decay_report_exact_rows_match_the_per_level_decimate_chain():
-    # the report samples the even symbol once and reads its differences from
-    # re-synthesis; the chain decimates at each period and keeps each level's data
+    # the report samples the even symbol once and reads each level's data from
+    # its analysis; the chain decimates at each period and keeps each level's data
     levels = 8
     for kind in ("sine", "gaussian_bump", "poly"):
         signal = sample_function(kind, levels, 2)
@@ -339,6 +341,47 @@ def test_decomposition_stability_cubic_l2_constant():
 def test_decomposition_stability_rejects_other_p():
     with pytest.raises(ParameterError):
         decomposition_stability_experiment(bspline_mask(3), p=3, trials=1)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("ran")
+
+
+def test_decomposition_stability_refuses_p_before_any_work(monkeypatch):
+    monkeypatch.setattr(analysis_module, "even_inverse_spectral", _refuse)
+    monkeypatch.setattr(analysis_module, "decompose", _refuse)
+    for p in (3, 1, "1", 2.5, "two", None, -math.inf):
+        with pytest.raises(ParameterError, match="only p in"):
+            decomposition_stability_experiment(bspline_mask(3), p=p, trials=1)
+
+
+@pytest.mark.parametrize("p, spelled", [(2, "2"), (2.0, "2"), ("2", "2"), (math.inf, "inf"),
+                                        (np.inf, "inf"), ("inf", "inf")])
+def test_decomposition_stability_spells_p_one_way(p, spelled):
+    report = decomposition_stability_experiment(bspline_mask(4), p=p, trials=2)
+    assert report.constants["p"] == spelled
+
+
+def test_l2_decomposition_stability_inverts_nothing(monkeypatch):
+    # the p = 2 bound needs 1 / min|ev| alone, and exact mode decimates spectrally
+    near = Mask(0, (1.0, 0.5, 1.0 - 1e-10))  # |ev(-1)| = 1e-10, above a guard of 1e-12
+    monkeypatch.setattr(analysis_module, "even_inverse_spectral", _refuse)
+    report = decomposition_stability_experiment(near, p=2, trials=5, guard=1e-12)
+    assert report.all_ok and len(report.trials) == 5
+
+
+def test_default_kernels_are_built_at_the_guard_passed():
+    # past a guard of 1e-12, the root 1e-10 from the circle decays too slowly;
+    # the default guard of 1e-9 must not be what refuses the mask
+    near = Mask(0, (1.0, 0.5, 1.0 - 1e-10))
+    for run in (lambda: decay_report("sine", 4, 2, near, guard=1e-12),
+                lambda: decay_report("sine", 4, 2, near, mode="kernel", guard=1e-12),
+                lambda: decomposition_stability_experiment(near, trials=2, guard=1e-12),
+                lambda: decomposition_stability_experiment(near, p=2, trials=2, mode="kernel",
+                                                           guard=1e-12)):
+        with pytest.raises(SlowDecayError) as info:
+            run()
+        assert "guard" not in str(info.value)
 
 
 def _pnorm_oracle(x, p):

@@ -9,8 +9,11 @@ import sys
 import numpy as np
 import pytest
 
+from evenrev import decimate, subdivide
 from evenrev.cli import main
-from evenrev.serialize import load_json, signal_from_csv_text, write_text_atomic
+from evenrev.serialize import (
+    kernel_from_obj, load_json, mask_from_obj, signal_from_csv_text, write_text_atomic,
+)
 
 
 def run(*argv):
@@ -280,6 +283,21 @@ def test_config_guard_threshold_reaches_analyze(tmp_path, capsys):
         assert "guard" not in err and "did not stabilise" in err, (name, err)
 
 
+def test_config_guard_threshold_lets_l2_decomposition_stability_run(tmp_path, capsys):
+    # --p 2 needs no kernel, so only --p inf meets the slowly decaying inverse
+    mask = tmp_path / "near.json"  # even symbol 1 + (1 - 1e-10) z: |ev(-1)| = 1e-10
+    mask.write_text('{"offset": 0, "coeffs": [1.0, 0.5, 0.9999999999]}')
+    cfg = tmp_path / "guard.json"
+    cfg.write_text('{"guard_threshold": 1e-12}')
+    argv = ["--config", str(cfg), "analyze", "stability", "--mode", "dec", "--mask", str(mask),
+            "--trials", "3", "--out", str(tmp_path / "dec.json")]
+    assert run(*argv, "--p", "2") == 0
+    report = load_json(str(tmp_path / "dec.json"))
+    assert report["constants"]["p"] == "2" and len(report["trials"]) == 3
+    assert run(*argv, "--p", "inf") == 1
+    assert "did not stabilise" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mode", ["rec", "dec"])
 def test_analyze_stability_overflow_fails_quietly(tmp_path, mode):
     # a perturbation just under the range limit overflows the transforms: the
@@ -439,6 +457,34 @@ def test_packed_refuses_leaking_even_details(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: validation: --packed would drop an even detail of ")
     assert err.count("\n") == 1 and not out.exists()
+
+
+def test_packed_limit_takes_max_c_l_from_its_own_level(tmp_path, capsys):
+    # a kernel of 2 doubles the data at each halving, so max|c_l| differs from
+    # level to level and the limit in the message pins the level it came from
+    mask_path, kernel_path = tmp_path / "cubic.json", tmp_path / "double.json"
+    mask_path.write_text(CUBIC)
+    kernel_path.write_text('{"offset": 0, "coeffs": [2.0], "tol": 0.01, "source": "custom", '
+                           '"certificate": null}')
+    signal_path = _signal_file(tmp_path, 256, 5)
+    assert run("decompose", "--signal", str(signal_path), "--mask", str(mask_path),
+               "--levels", "4", "--mode", "kernel", "--kernel", str(kernel_path), "--packed",
+               "--out", str(tmp_path / "p.json")) == 1
+    err = capsys.readouterr().err
+    mask = mask_from_obj(load_json(str(mask_path)))
+    kernel = kernel_from_obj(load_json(str(kernel_path)))
+    c = signal_from_csv_text(signal_path.read_text())
+    floor = 1e-10 * max(1.0, float(np.max(np.abs(c))))
+    over = []
+    for level in range(4, 0, -1):  # the decimate chain, finest level first
+        coarse = decimate(c, mask, mode="kernel", kernel=kernel)
+        leak = float(np.max(np.abs((c - subdivide(mask, coarse))[::2])))
+        limit = 1.01 * 0.01 * float(np.max(np.abs(c))) + floor
+        if leak > limit:
+            over.append((leak, level, limit))
+        c = coarse
+    leak, level, limit = max(over)
+    assert f"even detail of {leak:.3g} at level {level} (allowed {limit:.3g})" in err, err
 
 
 def test_compress_packed_refuses_nonzero_even_details(tmp_path, capsys):

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from evenrev import (
     DecimationSingularError,
+    EvenReversibilityError,
+    EvenRevError,
     Kernel,
     LengthError,
     LevelError,
@@ -28,13 +30,12 @@ from evenrev import (
     pseudo_spline_mask,
     reconstruct,
     subdivide,
-    synthesize,
     threshold_details,
     upsample,
     upsample_mask,
 )
-from evenrev.laurent import circular_convolve, symbol_on_circle
-from evenrev.transform import MODES
+from evenrev.laurent import GUARD, _periodic_convolve, circular_convolve, symbol_on_circle
+from evenrev.transform import MODES, _analysis, _halving
 
 
 def exact_decimate(ce, ev, guard):
@@ -369,31 +370,120 @@ def test_roundtrip_all_catalog_masks_both_modes():
             assert err < 1e-10, (name, mode, err)
 
 
+def synthesis_loop(p, alpha):
+    """Each level's data ``c_0 = coarse, ..., c_J``, by ``c_l = S_alpha(c_{l-1}) + d_l``."""
+    levels = [np.array(p.coarse)]
+    for d in p.details:
+        levels.append(subdivide(alpha, levels[-1]) + d)
+    return levels
+
+
 @pytest.mark.parametrize("lead", [(), (3,)])
 def test_synthesize_ends_in_reconstruct_bit_for_bit(lead):
     c = np.random.default_rng(13).uniform(-1, 1, lead + (96,))
     for mask in (bspline_mask(3), dd_mask(2), pseudo_spline_mask(6, 1)):
         for mode in MODES:
             pyr = decompose(c, mask, 4, mode=mode)
-            assert list(synthesize(pyr, mask))[-1].tobytes() == reconstruct(pyr, mask).tobytes()
+            assert synthesis_loop(pyr, mask)[-1].tobytes() == reconstruct(pyr, mask).tobytes()
 
 
 @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
 def test_synthesize_levels_double_the_period_and_keep_the_leading_shape(lead):
+    # the analysis yields c_3, ..., c_0; synthesis from its pyramid rebuilds them
     c = np.random.default_rng(14).uniform(-1, 1, lead + (80,))
-    pyr = decompose(c, bspline_mask(4), 3)
-    levels = list(synthesize(pyr, bspline_mask(4)))
+    before = c.copy()
+    mask = bspline_mask(4)
+    steps = list(_analysis(c, mask, 3, "exact", None, GUARD))
+    levels = [x for x, _ in steps[::-1]]
     assert [x.shape for x in levels] == [lead + (10 << l,) for l in range(4)]
-    assert np.array_equal(levels[0], pyr.coarse)
-    # each level is a new array: changing one leaves the pyramid and the others alone
-    levels[0][...] = 7.0
-    assert not np.any(pyr.coarse == 7.0) and not np.shares_memory(levels[1], levels[2])
+    assert [d is None for _, d in steps] == [False, False, False, True]
+    assert levels[-1] is c and c.tobytes() == before.tobytes()  # read, never written
+    assert not any(np.shares_memory(a, b) for a in levels for b in levels if a is not b)
+    pyr = decompose(c, mask, 3)
+    assert levels[0].tobytes() == pyr.coarse.tobytes()
+    for got, want in zip(synthesis_loop(pyr, mask), levels):
+        assert np.max(np.abs(got - want)) < 1e-13
+    assert reconstruct(pyr, mask).shape == c.shape
 
 
 def test_synthesize_without_details_yields_a_copy_of_the_coarse_data():
     pyr = Pyramid(np.arange(4.0), ())
-    (only,) = synthesize(pyr, bspline_mask(3))
-    assert np.array_equal(only, pyr.coarse) and not np.shares_memory(only, pyr.coarse)
+    out = reconstruct(pyr, bspline_mask(3))
+    assert np.array_equal(out, pyr.coarse) and not np.shares_memory(out, pyr.coarse)
+    out[0] = 9.0  # writable, although the pyramid's coarse data is not
+    assert pyr.coarse[0] == 0.0
+
+
+def level_loop_before_the_generator(c, alpha, levels, mode, kernel):
+    """The analysis loop as it was: exact mode predicts the odd samples alone,
+    kernel mode subtracts the whole ``subdivide`` of the coarse data."""
+    halve = _halving(alpha, c.shape[-1], mode, kernel, GUARD)
+    od = alpha.polyphase[1]
+    details = []
+    for level in range(levels):
+        coarse = halve(c[..., ::2], level)
+        if mode == "exact":
+            detail = np.zeros(c.shape)
+            odd = _periodic_convolve(od.offset, od.floats, coarse)
+            np.subtract(c[..., 1::2], odd, out=detail[..., 1::2])
+        else:
+            detail = subdivide(alpha, coarse)
+            np.subtract(c, detail, out=detail)
+        details.append(detail)
+        c = coarse
+    return c, details[::-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(-12, 12),
+    st.lists(st.floats(-2, 2, allow_nan=False, allow_infinity=False), min_size=1, max_size=14),
+    st.sampled_from([(), (3,), (2, 3)]),
+    st.integers(1, 4),
+    st.integers(2, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_decompose_is_the_earlier_level_loop_bit_for_bit(offset, taps, lead, levels, m, seed):
+    if not any(taps):
+        return
+    mask = make_mask(offset, taps)
+    kernel = Kernel(3 - offset, mask.floats[::-1], 1e-9, "test")  # any float mask can serve
+    c = np.random.default_rng(seed).uniform(-1, 1, lead + (m << levels,))
+    for mode in MODES:
+        try:
+            coarse, details = level_loop_before_the_generator(c, mask, levels, mode, kernel)
+        except DecimationSingularError:
+            with pytest.raises(DecimationSingularError):
+                decompose(c, mask, levels, mode=mode, kernel=kernel)
+            continue
+        pyr = decompose(c, mask, levels, mode=mode, kernel=kernel)
+        assert pyr.coarse.tobytes() == coarse.tobytes(), mode
+        assert [d.tobytes() for d in pyr.details] == [d.tobytes() for d in details], mode
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-9, 1e-10, 1e-11, 1e-12])
+def test_kernel_even_details_stay_under_the_packed_limit(tol):
+    # the premise of `decompose --packed` in kernel mode: a kernel of residual tol
+    # leaves even details of at most 1.01 * tol * max|c_l| plus a rounding floor
+    x = np.linspace(0, 1, 4096, endpoint=False)
+    rng = np.random.default_rng(3)
+    signal = np.sin(6 * np.pi * x) + (x > 0.4) + 0.01 * rng.standard_normal(x.size)
+    floor = 1e-10 * max(1.0, float(np.max(np.abs(signal))))
+    for name, mask in catalog().items():
+        kernel = even_inverse_spectral(mask, tol=tol)
+        for c, d in list(_analysis(signal, mask, 5, "kernel", kernel, GUARD))[:-1]:
+            leak = np.max(np.abs(d[::2]))
+            assert leak <= 1.01 * tol * np.max(np.abs(c)) + floor, (name, tol, leak)
+
+
+def test_kernel_mode_builds_its_kernel_at_the_guard_passed():
+    near = make_mask(0, [1.0, 0.5, 1.0 - 1e-10])  # |ev(-1)| = 1e-10
+    with pytest.raises(EvenReversibilityError, match="below the guard 1.0e-09"):
+        decompose(np.ones(64), near, 2, mode="kernel")
+    # past the guard of 1e-12, the root 1e-10 from the circle decays too slowly
+    with pytest.raises(EvenRevError) as info:
+        decompose(np.ones(64), near, 2, mode="kernel", guard=1e-12)
+    assert "1.0e-09" not in str(info.value) and "guard" not in str(info.value)
 
 
 def test_reconstruct_zero_details_is_iterated_subdivision():
