@@ -208,6 +208,7 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
             report = analysis.decomposition_stability_experiment(
                 mask, p=args.p, trials=args.trials, seed=cfg.seed, perturbation=args.perturbation,
                 kernel=_invert(mask, cfg, "spectral") if args.p == "inf" else None, guard=guard,
+                samples=cfg.circle_samples,
             )
         else:
             rng = np.random.default_rng(cfg.seed)

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from evenrev import (
     DecimationSingularError,
@@ -32,9 +33,14 @@ from evenrev import (
     subdivide,
 )
 from evenrev import analysis as analysis_module
-from evenrev.analysis import StabilityTrial, subdivision_norm_2, subdivision_norm_inf
+from evenrev.analysis import (
+    StabilityReport, StabilityTrial, subdivision_norm_2, subdivision_norm_inf,
+)
 from evenrev.inverse import SQRT2_RATIO
-from evenrev.laurent import convolve, difference, upsample_mask
+from evenrev.laurent import (
+    convolve, difference, even_part, min_modulus_on_circle, norm_l1, symbol_on_circle,
+    upsample_mask,
+)
 from evenrev.transform import Pyramid
 
 
@@ -260,6 +266,19 @@ def test_experiments_bound_synthesis_deeper_than_twelve_levels():
     assert report.constants["sup_norm"] == estimate_subdivision_sup_norm(mask)
 
 
+def subdivision_norm_2_by_roll(alpha, samples):
+    """The l2 step norm from the whole grid and the same grid turned by half a circle."""
+    vals = np.abs(symbol_on_circle(alpha, samples)) ** 2
+    return float(np.sqrt(np.max((vals + np.roll(vals, samples // 2)) / 2.0)))
+
+
+@pytest.mark.parametrize("samples", [16, 1024, 16384, 65536])
+def test_subdivision_norm_2_pairs_each_point_with_its_antipode_once(samples):
+    for name, mask in catalog().items():
+        assert subdivision_norm_2(mask, samples) == subdivision_norm_2_by_roll(mask, samples), name
+    assert subdivision_norm_2(bspline_mask(4)) == subdivision_norm_2_by_roll(bspline_mask(4), 16384)
+
+
 def test_one_step_norms_dominate_random_applications():
     rng = np.random.default_rng(12)
     for mask in (bspline_mask(3), dd_mask(2), pseudo_spline_mask(6, 1)):
@@ -388,9 +407,15 @@ def _pnorm_oracle(x, p):
     return float(np.linalg.norm(x)) if p == 2 else float(np.max(np.abs(x)))
 
 
-def decomposition_trials_by_loop(alpha, p, trials, seed, mode, kernel, constants):
+def _verdict(measured, bound):
+    return math.isfinite(measured) and math.isfinite(bound) and measured <= bound + 1e-12
+
+
+def decomposition_trials_by_loop(
+    alpha, p, trials, seed, mode, kernel, constants, levels=6, perturbation=1e-3
+):
     """Each trial decomposes its signal and the perturbed signal on their own."""
-    length, levels, perturbation = 256, 6, 1e-3
+    length = 256
     d_norm, residual_norm = constants["decimation_norm"], constants["residual_norm"]
     rng = np.random.default_rng(seed)
     rows = []
@@ -409,7 +434,7 @@ def decomposition_trials_by_loop(alpha, p, trials, seed, mode, kernel, constants
                 )
             )
         measured, bound = max(checks, key=lambda mb: mb[0] - mb[1])
-        ok = all(m <= b + 1e-12 for m, b in checks)
+        ok = all(_verdict(m, b) for m, b in checks)
         rows.append(StabilityTrial(t, measured, bound, ok))
     return tuple(rows)
 
@@ -431,7 +456,7 @@ def reconstruction_trials_by_loop(alpha, pyramid, perturbation, trials, seed, k_
         budget = k_sub * (
             float(np.max(np.abs(dc))) + sum(float(np.max(np.abs(dd))) for dd in dds)
         )
-        rows.append(StabilityTrial(t, measured, budget, measured <= budget + 1e-12))
+        rows.append(StabilityTrial(t, measured, budget, _verdict(measured, budget)))
     return tuple(rows)
 
 
@@ -457,6 +482,85 @@ def test_reconstruction_stability_matches_the_per_trial_loop(perturbation):
         k_sub = report.constants["sup_norm"]
         expected = reconstruction_trials_by_loop(mask, pyr, perturbation, 20, 4, k_sub)
         assert report.trials == expected, name
+
+
+@st.composite
+def reversible_masks(draw):
+    """Masks whose even part one tap dominates, so that ``|ev| >= 1/4`` on the circle."""
+    taps = st.floats(-1, 1, allow_subnormal=False)
+    even = draw(st.lists(taps, min_size=1, max_size=4))
+    odd = draw(st.lists(taps, min_size=len(even), max_size=len(even)))
+    lead = draw(st.integers(0, len(even) - 1))
+    rest = sum(abs(e) for i, e in enumerate(even) if i != lead)
+    even[lead] = draw(st.sampled_from([-1.0, 1.0])) * (0.25 + rest)
+    coeffs = [draw(taps)]  # the odd power just below the first even one
+    for e, o in zip(even, odd):
+        coeffs += [e, o]
+    return Mask(2 * draw(st.integers(-2, 2)) - 1, tuple(coeffs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    reversible_masks(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, "inf"]),
+    st.sampled_from(["exact", "kernel"]),
+    st.integers(1, 30),
+    st.integers(1, 6),
+    st.one_of(st.floats(0, 1), st.floats(0, 8e307)),
+)
+@example(bspline_mask(4), 0, 2, "exact", 2, 6, 8e307)  # overflows to inf and NaN
+@example(bspline_mask(4), 0, "inf", "kernel", 3, 6, 8e307)
+@example(dd_mask(2), 3, "inf", "exact", 30, 1, 0.0)
+def test_stability_reports_equal_the_per_trial_loops(
+    alpha, seed, p, mode, trials, levels, perturbation
+):
+    # the experiments take each norm over the trial axis; the loops take one
+    # np.linalg.norm or max per trial and level, and compute every constant anew
+    kernel = even_inverse_spectral(alpha) if mode == "kernel" or p == "inf" else None
+    if p == 2:
+        d_norm = 1.0 / min_modulus_on_circle(even_part(alpha))
+        s_norm = subdivision_norm_2_by_roll(alpha, 16384)
+    else:
+        d_norm = norm_l1(kernel) + kernel.tol
+        s_norm = subdivision_norm_inf(alpha)
+    constants = {
+        "p": str(p), "decimation_norm": d_norm, "subdivision_norm": s_norm,
+        "residual_norm": 1.0 + s_norm * d_norm, "levels": levels, "perturbation": perturbation,
+    }
+    signal = np.random.default_rng(seed).uniform(-1.0, 1.0, 256)
+    pyramid = decompose(signal, alpha, levels)
+    k_sub = estimate_subdivision_sup_norm(alpha)
+    with np.errstate(over="ignore", invalid="ignore"):  # the loops overflow as the experiments do
+        dec_rows = decomposition_trials_by_loop(
+            alpha, p, trials, seed, mode, kernel, constants, levels, perturbation
+        )
+        rec_rows = reconstruction_trials_by_loop(alpha, pyramid, perturbation, trials, seed, k_sub)
+    report = decomposition_stability_experiment(
+        alpha, p=p, trials=trials, seed=seed, levels=levels, perturbation=perturbation,
+        mode=mode, kernel=kernel,
+    )
+    assert repr(report) == repr(StabilityReport("decomposition", "custom", dec_rows, constants))
+    report = reconstruction_stability_experiment(alpha, pyramid, perturbation, trials, seed=seed)
+    expected = StabilityReport(
+        "reconstruction", "custom", rec_rows, {"sup_norm": k_sub, "perturbation": perturbation}
+    )
+    assert repr(report) == repr(expected)
+
+
+def test_samples_reach_the_l2_decomposition_bounds():
+    # the smallest |ev| of this mask lies between the nodes of the default grid
+    alpha = Mask(0, (1.0, 0.25, 0.3, 0.6, 0.5))
+    default = decomposition_stability_experiment(alpha, p=2, trials=2)
+    assert repr(decomposition_stability_experiment(alpha, p=2, trials=2, samples=16384)) == repr(
+        default
+    )
+    for samples in (1024, 65536):
+        report = decomposition_stability_experiment(alpha, p=2, trials=2, samples=samples)
+        d_norm = 1.0 / min_modulus_on_circle(even_part(alpha), samples)
+        assert report.constants["decimation_norm"] == d_norm
+        assert report.constants["subdivision_norm"] == subdivision_norm_2_by_roll(alpha, samples)
+    assert report.constants["decimation_norm"] > default.constants["decimation_norm"]
 
 
 @pytest.mark.parametrize("trials", [0, -3])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from evenrev import decimate, subdivide
+from evenrev.laurent import Mask, even_part, min_modulus_on_circle
 from evenrev.cli import main
 from evenrev.serialize import (
     kernel_from_obj, load_json, mask_from_obj, signal_from_csv_text, write_text_atomic,
@@ -296,6 +297,26 @@ def test_config_guard_threshold_lets_l2_decomposition_stability_run(tmp_path, ca
     assert report["constants"]["p"] == "2" and len(report["trials"]) == 3
     assert run(*argv, "--p", "inf") == 1
     assert "did not stabilise" in capsys.readouterr().err
+
+
+def test_samples_reach_analyze_stability_p2(tmp_path):
+    # the smallest |ev| of this mask lies between the nodes of the default grid
+    coeffs = (1.0, 0.25, 0.3, 0.6, 0.5)
+    mask = tmp_path / "offgrid.json"
+    mask.write_text(json.dumps({"offset": 0, "coeffs": list(coeffs)}))
+    argv = ["analyze", "stability", "--mode", "dec", "--p", "2", "--trials", "2", "--mask", str(mask)]
+    files = {}
+    for name, flags in {"default": [], "16384": ["--samples", "16384"],
+                        "65536": ["--samples", "65536"]}.items():
+        out = tmp_path / f"{name}.json"
+        assert run(*flags, *argv, "--out", str(out)) == 0
+        files[name] = out.read_bytes()
+    assert files["default"] == files["16384"]
+    assert files["default"] != files["65536"]
+    even = even_part(Mask(0, coeffs))
+    for name, samples in (("default", 16384), ("65536", 65536)):
+        constants = json.loads(files[name])["constants"]
+        assert constants["decimation_norm"] == 1.0 / min_modulus_on_circle(even, samples), name
 
 
 @pytest.mark.parametrize("mode", ["rec", "dec"])

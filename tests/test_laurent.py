@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from evenrev import (
     LengthError,
@@ -300,6 +301,25 @@ def test_difference_wraparound():
     assert np.array_equal(difference([0.0, 1.0, 2.0, 3.0]), [1.0, 1.0, 1.0, -3.0])
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=9)),
+    st.booleans(),
+)
+@example(np.array([2.5]), False)  # a one-sample period differences to zero
+@example(np.array([[np.inf], [-1.0], [np.nan]]), False)
+@example(np.array([[1e308, -1e308, 3.0, np.inf]]), True)
+def test_difference_is_the_rolled_subtraction_bit_for_bit(c, strided):
+    # every element of every (..., N) row, overflow, inf and NaN included
+    if strided:
+        c = np.repeat(c, 2, axis=-1)[..., ::2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.roll(c, -1, axis=-1) - c
+        got = difference(c)
+    assert got.shape == c.shape
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_difference_commutes_with_convolution():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -458,6 +478,32 @@ def test_symbol_on_circle_zero_mask_and_unit_circle_points():
     assert np.array_equal(symbol_on_circle(Mask(0, ()), 8), np.zeros(8))
     z = unit_circle(16)
     assert np.max(np.abs(symbol_on_circle(make_mask(1, [1.0]), 16) - z)) < 1e-15
+
+
+def sequential_abs_moment(m):
+    """``sum_k |m_k| |k|``, one term at a time from the lowest power, as plain floats."""
+    total = 0.0
+    for i, c in enumerate(m.coeffs):
+        total += abs(float(c)) * abs(m.offset + i)
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.integers(-40, 40), st.integers(-(2**70), 2**70)),
+    st.one_of(float_taps, fraction_taps, st.lists(st.floats(-1e300, 1e300), max_size=40)),
+)
+@example(0, [])  # the zero mask
+@example(-7, [F(1, 3), F(-2, 7), 0, F(5, 11)])  # rationals, an interior zero, a negative offset
+@example(-(2**53) + 2, [0.1] * 5)  # positions on both sides of the exact-float limit
+@example(2**53 - 3, [0.1] * 5)
+@example(10**30, [1.0, 0.5, 0.25])
+def test_abs_moment_adds_from_the_left(offset, coeffs):
+    # a loop, not sum(): from Python 3.12 on sum() compensates its rounding
+    m = Mask(offset, tuple(coeffs))
+    got = abs_moment(m)
+    assert type(got) is float
+    assert repr(got) == repr(sequential_abs_moment(m))
 
 
 @settings(max_examples=40, deadline=None)
