@@ -20,6 +20,7 @@ from .laurent import (
     CIRCLE_SAMPLES,
     GUARD,
     Mask,
+    _validated_samples,
     abs_moment,
     difference,
     even_part,
@@ -259,9 +260,10 @@ def subdivision_norm_2(alpha: Mask, samples: int = CIRCLE_SAMPLES) -> float:
     Equals the sup over the circle of ``sqrt((|alpha(z)|^2 + |alpha(-z)|^2)/2)``
     because upsampling spreads the spectrum over both half-circles.
     """
+    _validated_samples(alpha, samples)
     vals = np.abs(symbol_on_circle(alpha, samples)) ** 2
-    half = samples // 2  # |alpha(-z_j)|^2 = |alpha(z_{j+n/2})|^2, so each pair once
-    return float(np.sqrt(np.max((vals[:half] + vals[half:]) / 2.0)))
+    shifted = np.roll(vals, samples // 2)  # |alpha(-z_j)|^2 = |alpha(z_{j+n/2})|^2
+    return float(np.sqrt(np.max((vals + shifted) / 2.0)))
 
 
 def _norm_order(p) -> float:
@@ -352,8 +354,9 @@ def reconstruction_stability_experiment(
     deviation = reconstruct(perturbed, alpha) - base
     # one sup norm per trial from each array; the budget adds them as a loop would
     measured, coarse, *levels = (np.max(np.abs(x), axis=1).tolist() for x in [deviation, dc, *dds])
+    per_level = zip(*levels) if levels else [()] * trials  # a pyramid may have no details
     rows = []
-    for t, (m, a, b) in enumerate(zip(measured, coarse, zip(*levels))):
+    for t, (m, a, b) in enumerate(zip(measured, coarse, per_level)):
         budget = k_sub * (a + sum(b))
         rows.append(StabilityTrial(t, m, budget, _holds(m, budget)))
     return StabilityReport(

@@ -98,7 +98,7 @@ class EvenReversibility(NamedTuple):
 
 
 def _even_symbol(alpha: Mask, samples: int, guard: float):
-    """``(ev, values, moduli, reversibility)`` from one sampling of the even symbol.
+    """``(ev, values, reversibility)`` from one sampling of the even symbol.
 
     ``values`` holds ``ev(z_j)``, ``j = 0 .. n/2``, of an ``n``-point grid; the rest
     are conjugates, so its moduli, real parts and ``|imag|`` are the whole grid's.
@@ -111,7 +111,7 @@ def _even_symbol(alpha: Mask, samples: int, guard: float):
     mods = np.abs(vals)
     i = int(np.argmin(mods))
     witness = complex(np.exp(-2j * np.pi * i / n))
-    return ev, vals, mods, EvenReversibility(bool(mods[i] > guard), float(mods[i]), witness)
+    return ev, vals, EvenReversibility(bool(mods[i] > guard), float(mods[i]), witness)
 
 
 def check_even_reversible(
@@ -122,7 +122,7 @@ def check_even_reversible(
     Returns the minimum modulus and the grid point attaining it; raises
     :class:`EvenReversibilityError` when the even part is identically zero.
     """
-    return _even_symbol(alpha, samples, guard)[3]
+    return _even_symbol(alpha, samples, guard)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ def cubic_series_constants(kmax: int):
 def _periodized_inverse(ev: Mask, size: int) -> np.ndarray:
     """Inverse DFT of ``1/ev`` on ``size`` roots of unity, centred on index 0."""
     g = np.fft.irfft(1.0 / symbol_on_circle(ev, size, half=True), size)
-    return np.concatenate([g[size // 2 :], g[: size // 2]])  # indices -size/2 .. size/2 - 1
+    return np.fft.fftshift(g)  # ascending signed indices -size/2 .. size/2 - 1
 
 
 def even_inverse_spectral(
@@ -230,7 +230,7 @@ def even_inverse_spectral(
     """
     if not 0 < tol < math.inf:
         raise ParameterError(f"tol must be positive and finite, got {tol!r}")
-    ev, vals, mods, rev = _even_symbol(alpha, samples, guard)  # the certificate reuses them
+    ev, vals, rev = _even_symbol(alpha, samples, guard)  # the certificate reuses vals
     if not rev.ok:
         raise EvenReversibilityError(
             f"even symbol modulus {rev.min_modulus:.3e} at z={rev.witness:.6f} "
@@ -262,7 +262,7 @@ def even_inverse_spectral(
                     f"||g*ev - delta||_1 = {residual:.3e} above tol {tol:.1e}; "
                     "a finer grid only adds rounding noise, so use a larger tol"
                 )
-            cert = _certificate(ev, vals, mods, rev.min_modulus, guard)
+            cert = _certificate(ev, vals, rev.min_modulus, guard)
             return Kernel(trimmed.offset, trimmed.coeffs, tol, "spectral",
                           cert if cert.hypothesis_met else None)
         prev = curr
@@ -332,8 +332,8 @@ def decay_certificate(
     strictly positive on the circle; otherwise the returned constants are
     nominal and ``hypothesis_met`` is ``False``.
     """
-    ev, vals, mods, rev = _even_symbol(alpha, samples, guard)
-    return _certificate(ev, vals, mods, rev.min_modulus, guard)
+    ev, vals, rev = _even_symbol(alpha, samples, guard)
+    return _certificate(ev, vals, rev.min_modulus, guard)
 
 
 def _decay_constants(kappa: float, s: int):
@@ -342,8 +342,8 @@ def _decay_constants(kappa: float, s: int):
     return q, q ** (1.0 / s), max(1.0, (1.0 + math.sqrt(kappa)) ** 2 / (2.0 * kappa))
 
 
-def _certificate(ev, vals, mods, mn, guard) -> DecayCertificate:
-    mx = float(np.max(mods))
+def _certificate(ev, vals, mn, guard) -> DecayCertificate:
+    mx = float(np.max(np.abs(vals)))
     if mn <= guard:
         raise CertificateUnavailableError(
             f"even symbol modulus reaches {mn:.3e}; no summable inverse"

@@ -353,7 +353,7 @@ def subdivide(m: Mask, c) -> np.ndarray:
 def difference(c) -> np.ndarray:
     """Periodic forward difference ``(diff c)_k = c_{k+1} - c_k``."""
     c = _signal(c)
-    return np.concatenate([c[..., 1:], c[..., :1]], axis=-1) - c
+    return np.roll(c, -1, axis=-1) - c
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +410,5 @@ def norm_linf(m: Mask) -> float:
 def abs_moment(m: Mask) -> float:
     """First absolute moment ``sum_k |m_k| |k|`` of the coefficients, summed from the left."""
     n = m.floats.size
-    if abs(m.offset) + n < 1 << 53:  # every position is an exact float
-        k = np.arange(m.offset, m.offset + n, dtype=float)
-    else:  # each position rounded once, as Python's int-to-float conversion does
-        k = np.array([float(m.offset + i) for i in range(n)])
+    k = np.array([float(m.offset + i) for i in range(n)])  # each position rounded once
     return float(np.add.accumulate(np.abs(m.floats * k))[-1]) if n else 0.0

@@ -38,8 +38,7 @@ from evenrev.analysis import (
 )
 from evenrev.inverse import SQRT2_RATIO
 from evenrev.laurent import (
-    convolve, difference, even_part, min_modulus_on_circle, norm_l1, symbol_on_circle,
-    upsample_mask,
+    convolve, difference, even_part, min_modulus_on_circle, norm_l1, upsample_mask,
 )
 from evenrev.transform import Pyramid
 
@@ -266,17 +265,17 @@ def test_experiments_bound_synthesis_deeper_than_twelve_levels():
     assert report.constants["sup_norm"] == estimate_subdivision_sup_norm(mask)
 
 
-def subdivision_norm_2_by_roll(alpha, samples):
-    """The l2 step norm from the whole grid and the same grid turned by half a circle."""
-    vals = np.abs(symbol_on_circle(alpha, samples)) ** 2
-    return float(np.sqrt(np.max((vals + np.roll(vals, samples // 2)) / 2.0)))
+@pytest.mark.parametrize("samples", [3, 15, 24])
+def test_subdivision_norm_2_refuses_a_grid_that_is_not_a_power_of_two(samples):
+    with pytest.raises(ParameterError, match="power of two"):
+        subdivision_norm_2(bspline_mask(3), samples)
 
 
-@pytest.mark.parametrize("samples", [16, 1024, 16384, 65536])
-def test_subdivision_norm_2_pairs_each_point_with_its_antipode_once(samples):
-    for name, mask in catalog().items():
-        assert subdivision_norm_2(mask, samples) == subdivision_norm_2_by_roll(mask, samples), name
-    assert subdivision_norm_2(bspline_mask(4)) == subdivision_norm_2_by_roll(bspline_mask(4), 16384)
+def test_subdivision_norm_2_refuses_an_undersampling_grid():
+    mask = pseudo_spline_mask(12, 1)  # 15 taps need 60 points
+    with pytest.raises(ParameterError, match="undersamples"):
+        subdivision_norm_2(mask, 32)
+    assert subdivision_norm_2(mask, 64) >= 1.0
 
 
 def test_one_step_norms_dominate_random_applications():
@@ -484,6 +483,16 @@ def test_reconstruction_stability_matches_the_per_trial_loop(perturbation):
         assert report.trials == expected, name
 
 
+def test_reconstruction_stability_without_details_has_a_row_per_trial():
+    # a pyramid of coarse data alone: each budget is K_sub times the coarse noise
+    mask = bspline_mask(4)
+    pyr = Pyramid(np.random.default_rng(5).uniform(-1.0, 1.0, 16), ())
+    report = reconstruction_stability_experiment(mask, pyr, 1e-3, 7, seed=2)
+    k_sub = report.constants["sup_norm"]
+    assert report.trials == reconstruction_trials_by_loop(mask, pyr, 1e-3, 7, 2, k_sub)
+    assert len(report.trials) == 7
+
+
 @st.composite
 def reversible_masks(draw):
     """Masks whose even part one tap dominates, so that ``|ev| >= 1/4`` on the circle."""
@@ -520,7 +529,7 @@ def test_stability_reports_equal_the_per_trial_loops(
     kernel = even_inverse_spectral(alpha) if mode == "kernel" or p == "inf" else None
     if p == 2:
         d_norm = 1.0 / min_modulus_on_circle(even_part(alpha))
-        s_norm = subdivision_norm_2_by_roll(alpha, 16384)
+        s_norm = subdivision_norm_2(alpha)
     else:
         d_norm = norm_l1(kernel) + kernel.tol
         s_norm = subdivision_norm_inf(alpha)
@@ -559,7 +568,7 @@ def test_samples_reach_the_l2_decomposition_bounds():
         report = decomposition_stability_experiment(alpha, p=2, trials=2, samples=samples)
         d_norm = 1.0 / min_modulus_on_circle(even_part(alpha), samples)
         assert report.constants["decimation_norm"] == d_norm
-        assert report.constants["subdivision_norm"] == subdivision_norm_2_by_roll(alpha, samples)
+        assert report.constants["subdivision_norm"] == subdivision_norm_2(alpha, samples)
     assert report.constants["decimation_norm"] > default.constants["decimation_norm"]
 
 
