@@ -1,9 +1,10 @@
 """The pyramid transform: perfect reconstruction and even-detail structure.
 
 Decimating with the even-inverse makes every even-indexed detail vanish, so
-the details can be stored at half length.  Exact mode stores them as 0.0 and
-computes only the odd ones; the identity itself is measured here as the
-lifting residual ``c_even - ev * coarse`` of each level.  Reconstruction adds
+the details can be stored at half length.  Exact mode computes and stores
+only the odd ones, N coefficients for N samples; the identity itself is
+measured here as the lifting residual ``c_even - ev * coarse`` of each level.
+Kernel mode also stores its even details, the truncation leak.  Reconstruction adds
 the stored residual back after upscaling, which is exact no matter which
 decimation filter produced the pyramid; only the *structure* of the details
 depends on using the right filter.
@@ -15,6 +16,13 @@ from evenrev import (
     Kernel, bspline_mask, decimate, decompose, even_inverse_spectral, reconstruct, subdivide,
 )
 
+
+
+def stored(p):
+    """Coefficients a pyramid holds: its coarse data, odd details and any even halves."""
+    return p.coarse.size + sum(x.size for x in (*p.odd, *p.even) if x is not None)
+
+
 rng = np.random.default_rng(2024)
 mask = bspline_mask(4)
 signal = rng.uniform(-1.0, 1.0, 256)
@@ -23,20 +31,23 @@ print("Cubic-spline pyramid on 256 random samples, 5 levels, exact decimation:")
 pyr = decompose(signal, mask, 5, mask_id="cubic")
 err = np.max(np.abs(reconstruct(pyr, mask) - signal))
 print(f"  reconstruction error : {err:.3e}")
+print(f"  stored coefficients  : {stored(pyr)} for {signal.size} samples")
 fine, residual = signal, 0.0
 for _ in range(5):
     coarse = decimate(fine, mask)
     residual = max(residual, np.max(np.abs(fine[::2] - subdivide(mask, coarse)[::2])))
     fine = coarse
 print(f"  max lifting residual : {residual:.3e}")
-for level, d in enumerate(pyr.details, start=1):
-    print(f"  level {level}: {d.size:>4} entries, odd-entry sup {np.max(np.abs(d[1::2])):.4f}")
+for level, odd in enumerate(pyr.odd, start=1):
+    print(f"  level {level}: {odd.size:>4} odd details stored, sup {np.max(np.abs(odd)):.4f}")
 
 print("\nSame transform with the truncated kernel instead of Fourier division:")
 kern = even_inverse_spectral(mask, tol=1e-12)
 pyr_k = decompose(signal, mask, 5, mode="kernel", kernel=kern)
 err = np.max(np.abs(reconstruct(pyr_k, mask) - signal))
 print(f"  reconstruction error : {err:.3e}")
+print(f"  stored coefficients  : {stored(pyr_k)} = {signal.size} plus the "
+      f"{stored(pyr_k) - signal.size}-entry even leak")
 print(f"  max even-index detail: {pyr_k.max_even_detail():.3e}")
 
 print("\nA deliberately wrong kernel still reconstructs exactly,")

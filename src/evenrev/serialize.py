@@ -182,15 +182,15 @@ def pyramid_to_obj(p: Pyramid, packed: bool = False) -> dict:
     """JSON object for a pyramid.
 
     With ``packed=True`` only the odd-index detail entries are stored (the
-    lossless half-size layout valid when the even entries vanish); loading
-    re-inflates them with zero even entries.  Files hold one signal's pyramid,
-    so a batched pyramid is refused.
+    lossless half-size layout valid when the even entries vanish): a packed
+    file maps one to one onto an exact pyramid's stored coefficients.  Files
+    hold one signal's pyramid, so a batched pyramid is refused.
     """
     if p.coarse.ndim != 1:
         raise ParameterError(
             f"a pyramid file holds one signal, got coarse data of shape {p.coarse.shape}"
         )
-    details = [d[1::2] if packed else d for d in p.details]
+    details = p.odd if packed else p.details
     return {
         "mask_id": p.mask_id,
         "levels": p.levels,
@@ -215,16 +215,15 @@ def pyramid_from_obj(obj: dict) -> Pyramid:
     for level, stored in enumerate(stored_details, start=1):
         size *= 2
         arr = _finite_array(stored, f"pyramid detail level {level}")
-        if obj.get("packed"):
-            if 2 * arr.size != size:
-                raise ShapeError(
-                    f"packed detail level {level} has length {arr.size}, expected {size // 2}"
-                )
-            full = np.zeros(size)
-            full[1::2] = arr
-            arr = full
+        if obj.get("packed") and 2 * arr.size != size:
+            raise ShapeError(
+                f"packed detail level {level} has length {arr.size}, expected {size // 2}"
+            )
         details.append(arr)
-    return Pyramid(coarse, tuple(details), str(obj.get("mask_id", "custom")))
+    mask_id = str(obj.get("mask_id", "custom"))
+    if obj.get("packed"):  # the odd halves, as an exact pyramid stores them
+        return Pyramid._of_halves(coarse, details, [None] * levels, mask_id)
+    return Pyramid(coarse, tuple(details), mask_id)
 
 
 # ---------------------------------------------------------------------------

@@ -483,6 +483,36 @@ def test_reconstruction_stability_matches_the_per_trial_loop(perturbation):
         assert report.trials == expected, name
 
 
+@pytest.mark.parametrize("perturbation", [1e-3, 8e307])
+def test_reconstruction_stability_of_an_exact_pyramid_keeps_its_even_noise(perturbation):
+    # an exact pyramid stores no even details, but every trial perturbs all the
+    # detail slots: full-length noise rows, whose even entries must reach the
+    # synthesis.  The loop here synthesizes whole arrays, as S(c) + d + dd.
+    for name, mask in catalog().items():
+        _, pyr = _pyramid(mask)
+        assert pyr.even == (None,) * pyr.levels
+        report = reconstruction_stability_experiment(mask, pyr, perturbation, 6, seed=8)
+        k_sub = report.constants["sup_norm"]
+        rng = np.random.default_rng(8)
+        details = pyr.details
+        base = np.array(pyr.coarse)
+        for d in details:
+            base = subdivide(mask, base) + d
+        rows = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(6):
+                dc = rng.uniform(-perturbation, perturbation, pyr.coarse.size)
+                dds = [rng.uniform(-perturbation, perturbation, d.size) for d in details]
+                c = pyr.coarse + dc
+                for d, dd in zip(details, dds):
+                    c = subdivide(mask, c) + (d + dd)
+                measured = float(np.max(np.abs(c - base)))
+                budget = k_sub * (float(np.max(np.abs(dc)))
+                                  + sum(float(np.max(np.abs(dd))) for dd in dds))
+                rows.append(StabilityTrial(t, measured, budget, _verdict(measured, budget)))
+        assert repr(report.trials) == repr(tuple(rows)), name
+
+
 def test_reconstruction_stability_without_details_has_a_row_per_trial():
     # a pyramid of coarse data alone: each budget is K_sub times the coarse noise
     mask = bspline_mask(4)

@@ -436,13 +436,18 @@ fraction_taps = st.lists(st.fractions(-4, 4, max_denominator=8), min_size=1, max
     st.one_of(float_taps, fraction_taps),
     st.lists(st.floats(-10, 10, allow_nan=False, allow_infinity=False), min_size=1, max_size=20),
 )
+@example(0, [F(1), *[F(0)] * 9, F(5, 2), F(1)], [5e-324])  # 5/2 * 5e-324 underflows
 def test_periodic_operators_match_references(offset, coeffs, signal):
     # supports of up to 14 taps against periods down to 1 wrap several times
     if not any(coeffs):
         return
     m = make_mask(offset, coeffs)
     c = np.asarray(signal)
-    tol = 1e-13 * np.max(np.abs(c))
+    # Each output sums at most one product per tap, and a product can underflow
+    # by half the smallest subnormal (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2nd ed., sections 2.1 and 3.1), on this side and on the
+    # reference's: an absolute term keeps the bound above 0 on subnormal signals.
+    tol = 1e-13 * np.max(np.abs(c)) + len(coeffs) * np.finfo(float).smallest_subnormal
     sub = subdivide(m, c)
     assert np.max(np.abs(sub - naive_subdivide(m, c))) <= tol
     assert np.max(np.abs(sub - brute_subdivide(m, c))) <= tol

@@ -143,6 +143,22 @@ def test_pyramid_roundtrip_packed():
     assert np.max(np.abs(reconstruct(back, bspline_mask(4)) - c)) < 1e-10
 
 
+def test_packed_file_maps_onto_the_stored_odd_halves():
+    # an exact pyramid holds N coefficients for N samples, and a packed file
+    # holds the same ones: loading it stores them as they are, with no even half
+    c = np.random.default_rng(4).uniform(-1, 1, 64)
+    pyr = decompose(c, bspline_mask(4), 3, mask_id="cubic")
+    assert pyr.coarse.size + sum(o.size for o in pyr.odd) == c.size
+    obj = json.loads(dump_json(pyramid_to_obj(pyr, packed=True)))
+    assert obj["details"] == [o.tolist() for o in pyr.odd]
+    back = pyramid_from_obj(obj)
+    assert back.even == (None, None, None) and back.mask_id == "cubic"
+    assert [o.tobytes() for o in back.odd] == [o.tobytes() for o in pyr.odd]
+    assert [d.tobytes() for d in back.details] == [d.tobytes() for d in pyr.details]
+    unpacked = pyramid_from_obj(json.loads(dump_json(pyramid_to_obj(pyr))))
+    assert unpacked.even == (None, None, None)  # its even entries are all 0.0
+
+
 def test_signal_csv_roundtrip():
     rng = np.random.default_rng(2)
     c = rng.uniform(-1, 1, 17)

@@ -1,10 +1,12 @@
 """Pyramid transform tests: decimation, round trips, detail structure."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from evenrev import (
     DecimationSingularError,
@@ -394,9 +396,10 @@ def test_synthesize_levels_double_the_period_and_keep_the_leading_shape(lead):
     before = c.copy()
     mask = bspline_mask(4)
     steps = list(_analysis(c, mask, 3, "exact", None, GUARD))
-    levels = [x for x, _ in steps[::-1]]
+    levels = [x for x, _, _ in steps[::-1]]
     assert [x.shape for x in levels] == [lead + (10 << l,) for l in range(4)]
-    assert [d is None for _, d in steps] == [False, False, False, True]
+    assert [d is None for _, d, _ in steps] == [False, False, False, True]
+    assert all(e is None for _, _, e in steps)  # exact mode predicts no even sample
     assert levels[-1] is c and c.tobytes() == before.tobytes()  # read, never written
     assert not any(np.shares_memory(a, b) for a in levels for b in levels if a is not b)
     pyr = decompose(c, mask, 3)
@@ -461,6 +464,91 @@ def test_decompose_is_the_earlier_level_loop_bit_for_bit(offset, taps, lead, lev
         assert [d.tobytes() for d in pyr.details] == [d.tobytes() for d in details], mode
 
 
+STORAGE_MASKS = list(catalog().values()) + [dd_mask(2), dd_mask(3)]
+
+
+@functools.cache
+def storage_kernel(index):
+    """The spectral inverse of ``STORAGE_MASKS[index]``, computed once per mask."""
+    return even_inverse_spectral(STORAGE_MASKS[index])
+
+
+def synthesis_of(coarse, details, alpha):
+    """``c_l = S_alpha(c_{l-1}) + d_l`` over full-length details."""
+    c = np.array(coarse)
+    for d in details:
+        c = subdivide(alpha, c) + d
+    return c
+
+
+signed_zero_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309]),
+    st.floats(-2, 2, allow_nan=False),  # subnormals and both zeros included
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, len(STORAGE_MASKS) - 1),
+    st.sampled_from(MODES),
+    st.sampled_from([(), (2,), (2, 3)]),
+    st.integers(1, 4),
+    st.sampled_from([2, 3, 4]),
+    st.data(),
+)
+def test_halves_are_the_full_residual_bit_for_bit(index, mode, lead, levels, m, data):
+    # the oracle stores the full residual, 0.0 at exact mode's even slots, and
+    # synthesizes and thresholds it as whole arrays: every byte must agree,
+    # signed zeros and subnormals included
+    mask = STORAGE_MASKS[index]
+    kernel = storage_kernel(index) if mode == "kernel" else None
+    shape = lead + (m << levels,)
+    c = data.draw(hnp.arrays(float, shape, elements=signed_zero_floats, fill=st.nothing()))
+    coarse, details = level_loop_before_the_generator(c, mask, levels, mode, kernel)
+    pyr = decompose(c, mask, levels, mode=mode, kernel=kernel)
+    assert pyr.coarse.tobytes() == coarse.tobytes()
+    full = pyr.details
+    assert [d.shape for d in full] == [d.shape for d in details]
+    assert [d.tobytes() for d in full] == [d.tobytes() for d in details]
+    assert not any(d.flags.writeable for d in full)
+    assert [o.shape[-1] for o in pyr.odd] == [d.shape[-1] // 2 for d in details]
+    if mode == "exact":
+        assert pyr.even == (None,) * levels
+        assert pyr.max_even_detail() == 0.0
+    assert reconstruct(pyr, mask).tobytes() == synthesis_of(coarse, details, mask).tobytes()
+    rebuilt = Pyramid(coarse, tuple(details))  # the public constructor splits them alike
+    assert [d.tobytes() for d in rebuilt.details] == [d.tobytes() for d in details]
+    assert [e is None for e in rebuilt.even] == [e is None for e in pyr.even]
+    for eps in (0.0, 1e-300, 0.5):
+        cut = [np.where(np.abs(d) < eps, 0.0, d) for d in details]
+        small, kept, total = threshold_details(pyr, eps)
+        assert kept == sum(int(np.count_nonzero(d)) for d in cut)
+        assert total == sum(d.size for d in cut)
+        assert [d.tobytes() for d in small.details] == [d.tobytes() for d in cut]
+        assert reconstruct(small, mask).tobytes() == synthesis_of(coarse, cut, mask).tobytes()
+
+
+def test_pyramid_stores_an_even_half_unless_every_entry_is_positive_zero():
+    odd = np.array([1.0, -2.0])
+    for even, stored in [([0.0, 0.0], False), ([-0.0, 0.0], True), ([0.0, 5e-324], True)]:
+        d = np.empty(4)
+        d[0::2], d[1::2] = even, odd
+        pyr = Pyramid(np.zeros(2), (d,))
+        assert (pyr.even[0] is not None) == stored
+        assert pyr.details[0].tobytes() == d.tobytes()  # -0.0 comes back as -0.0
+        assert pyr.odd[0].tobytes() == odd.tobytes() and pyr.odd[0].flags.c_contiguous
+
+
+def test_pyramid_copies_what_it_is_given():
+    d = np.arange(8.0)
+    coarse = np.ones(4)
+    pyr = Pyramid(coarse, (d,))
+    d[:] = -1.0
+    coarse[:] = 0.0
+    assert pyr.details[0].tolist() == list(np.arange(8.0)) and pyr.coarse.tolist() == [1.0] * 4
+    assert not any(x.flags.writeable for x in (pyr.coarse, *pyr.odd, *pyr.even))
+
+
 @pytest.mark.parametrize("tol", [1e-8, 1e-9, 1e-10, 1e-11, 1e-12])
 def test_kernel_even_details_stay_under_the_packed_limit(tol):
     # the premise of `decompose --packed` in kernel mode: a kernel of residual tol
@@ -471,8 +559,8 @@ def test_kernel_even_details_stay_under_the_packed_limit(tol):
     floor = 1e-10 * max(1.0, float(np.max(np.abs(signal))))
     for name, mask in catalog().items():
         kernel = even_inverse_spectral(mask, tol=tol)
-        for c, d in list(_analysis(signal, mask, 5, "kernel", kernel, GUARD))[:-1]:
-            leak = np.max(np.abs(d[::2]))
+        for c, _, even in list(_analysis(signal, mask, 5, "kernel", kernel, GUARD))[:-1]:
+            leak = np.max(np.abs(even))
             assert leak <= 1.01 * tol * np.max(np.abs(c)) + floor, (name, tol, leak)
 
 
