@@ -4,10 +4,10 @@ Decimating with the even-inverse makes every even-indexed detail vanish, so
 the details can be stored at half length.  Exact mode computes and stores
 only the odd ones, N coefficients for N samples; the identity itself is
 measured here as the lifting residual ``c_even - ev * coarse`` of each level.
-Kernel mode also stores its even details, the truncation leak.  Reconstruction adds
-the stored residual back after upscaling, which is exact no matter which
-decimation filter produced the pyramid; only the *structure* of the details
-depends on using the right filter.
+Kernel mode stores the full residual, whose even entries are the truncation
+leak.  Reconstruction adds the stored residual back after upscaling, which is
+exact no matter which decimation filter produced the pyramid; only the
+*structure* of the details depends on using the right filter.
 """
 
 import numpy as np
@@ -19,8 +19,8 @@ from evenrev import (
 
 
 def stored(p):
-    """Coefficients a pyramid holds: its coarse data, odd details and any even halves."""
-    return p.coarse.size + sum(x.size for x in (*p.odd, *p.even) if x is not None)
+    """Coefficients a pyramid holds: its coarse data and each level as stored."""
+    return p.coarse.size + sum(d.size for d in p.stored)
 
 
 rng = np.random.default_rng(2024)
@@ -38,7 +38,7 @@ for _ in range(5):
     residual = max(residual, np.max(np.abs(fine[::2] - subdivide(mask, coarse)[::2])))
     fine = coarse
 print(f"  max lifting residual : {residual:.3e}")
-for level, odd in enumerate(pyr.odd, start=1):
+for level, odd in enumerate(pyr.stored, start=1):
     print(f"  level {level}: {odd.size:>4} odd details stored, sup {np.max(np.abs(odd)):.4f}")
 
 print("\nSame transform with the truncated kernel instead of Fourier division:")

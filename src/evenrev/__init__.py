@@ -5,8 +5,8 @@ be "reversed on the evens": there is a summable inverse filter that undoes
 the even half of the upscaling step.  Decimating with that filter and
 storing the prediction residual yields a pyramid whose details vanish at
 every even index, reconstructs perfectly, and obeys explicit decay and
-stability bounds.  An exact pyramid holds N coefficients for N samples, as
-does its packed file; ``Pyramid.details`` is the full-length view.  This
+stability bounds.  An exact pyramid stores each level's odd half, N values
+for N samples as its packed file does; ``Pyramid.details`` is full-length.  This
 package provides the mask algebra, the catalog of spline and pseudo-spline
 masks, the inverse kernels and their decay certificates, the transform
 itself, and the analysis experiments that verify the bounds numerically.

@@ -200,9 +200,9 @@ def decay_report(
 
     rows = []
     steps = _analysis(signal, alpha, levels, mode, kernel, guard)  # finest level first
-    for level, (c, *ds) in zip(range(levels, -1, -1), steps):  # ds: the detail halves
+    for level, (c, d) in zip(range(levels, -1, -1), steps):
         bound_delta = fprime * g1 ** (levels - level) * 2.0 ** (-level)
-        detail_norm = max(float(np.max(np.abs(d))) for d in ds if d is not None) if level else None
+        detail_norm = float(np.max(np.abs(d))) if level else None
         bound_detail = moments.k_combined * bound_delta if level else None
         rows.append(DecayRow(
             level, float(np.max(np.abs(difference(c)))), detail_norm, bound_delta, bound_detail
@@ -482,7 +482,7 @@ def compression_experiment(
         err = float(np.max(np.abs(rec - baseline)))
         dropped = sum(
             float(np.max(np.abs(d - dt)))
-            for d, dt in zip(pyramid.details, squeezed.details)
+            for d, dt in zip(pyramid.stored, squeezed.stored)
         )
         rows.append(CompressionRow(float(eps), kept / total if total else 1.0, err, k_sub * dropped))
     return CompressionReport(mask_id, levels, tuple(rows), {"sup_norm": k_sub})

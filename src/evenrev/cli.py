@@ -102,9 +102,9 @@ def _load_signal(path: str) -> np.ndarray:
     return serialize.signal_from_csv_text(text)
 
 
-def _check_packable(evens, limits) -> None:
-    """Refuse ``--packed`` when a level's even details exceed its limit: packing drops them."""
-    leaks = [0.0 if e is None else float(np.max(np.abs(e))) for e in evens]
+def _check_packable(levels, limits) -> None:
+    """Refuse ``--packed`` when a full-length level's even details exceed its limit."""
+    leaks = [float(np.max(np.abs(d[..., 0::2]))) if full else 0.0 for d, full in levels]
     over = [(leak, level, limit)
             for level, (leak, limit) in enumerate(zip(leaks, limits), start=1) if leak > limit]
     if over:
@@ -167,10 +167,10 @@ def _cmd_decompose(args, cfg: RunConfig) -> int:
     if args.packed and kernel is not None:
         # A kernel of residual tol leaves even details up to tol * max|c_l| at
         # level l, c_l as the analysis made it.  Exact mode stores none.
-        steps = list(steps)  # (c_J, odd_J, even_J), ..., (c_0, None, None)
+        steps = list(steps)  # (c_J, d_J), ..., (c_0, None)
         floor = 1e-10 * max(1.0, float(np.max(np.abs(signal))))
-        limits = [1.01 * kernel.tol * float(np.max(np.abs(c))) + floor for c, *_ in steps[-2::-1]]
-        _check_packable([even for *_, even in steps[-2::-1]], limits)
+        limits = [1.01 * kernel.tol * float(np.max(np.abs(c))) + floor for c, _ in steps[-2::-1]]
+        _check_packable([(d, True) for _, d in steps[-2::-1]], limits)
     pyramid = _pyramid(steps, args.mask_id)
     _emit(serialize.pyramid_to_obj(pyramid, packed=args.packed), args.out)
     return 0
@@ -187,7 +187,7 @@ def _cmd_compress(args, cfg: RunConfig) -> int:
     pyramid = serialize.pyramid_from_obj(serialize.load_json(args.pyramid))
     squeezed, kept, total = threshold_details(pyramid, args.eps)
     if args.packed:
-        _check_packable(squeezed.even, [0.0] * squeezed.levels)
+        _check_packable(squeezed._full(), [0.0] * squeezed.levels)
     _emit(serialize.pyramid_to_obj(squeezed, packed=args.packed), args.out)
     sys.stderr.write(f"kept {kept} of {total} detail entries\n")
     return 0

@@ -25,7 +25,7 @@ from .errors import (
     ParameterError,
     SlowDecayError,
 )
-from .laurent import CIRCLE_SAMPLES, GUARD, INVERSE_TOL, Mask, symbol_on_circle
+from .laurent import CIRCLE_SAMPLES, GUARD, INVERSE_TOL, Mask, norm_l1, symbol_on_circle
 from .masks import PseudoSplineParams, bspline_mask, generalized_binomial
 
 __all__ = [
@@ -218,15 +218,16 @@ def even_inverse_spectral(
 ) -> Kernel:
     """Invert the even part of ``alpha`` by sampling ``1/ev`` at roots of unity.
 
-    The grid is doubled until successive periodizations agree to ``tol/4``
-    and the edge coefficients fall below ``tol/4``; the result is trimmed so
-    the dropped mass stays below ``tol/4`` and the residual
-    ``||g * ev - delta||_1`` is verified to be below ``tol``.
+    The residual ``||g * ev - delta||_1`` multiplies a coefficient error by up
+    to ``||ev||_1``, so the budget is ``b = tol / max(1, ||ev||_1)``.  The grid
+    is doubled until successive periodizations agree to ``b/4`` and the edge
+    coefficients fall below ``b/4``; the result is trimmed so the dropped mass
+    stays below ``b/4`` and the residual is verified to be below ``tol``.
 
     Raises :class:`EvenReversibilityError` when the even symbol (nearly)
     vanishes, and :class:`SlowDecayError` when the budget ``max_size`` is
     exhausted before stabilisation or when the stabilised residual exceeds
-    ``tol`` (``tol`` below the rounding floor, which doubling only raises).
+    ``tol`` (``tol`` near the rounding floor).
     """
     if not 0 < tol < math.inf:
         raise ParameterError(f"tol must be positive and finite, got {tol!r}")
@@ -244,6 +245,7 @@ def even_inverse_spectral(
     while 4 * len(ev.coeffs) > size:
         size *= 2
     prev = _periodized_inverse(centred, size)
+    budget = tol / max(1.0, norm_l1(ev))
     while size < max_size:
         size *= 2
         curr = _periodized_inverse(centred, size)
@@ -253,14 +255,13 @@ def even_inverse_spectral(
         edge = float(
             max(np.max(np.abs(curr[: size // 4])), np.max(np.abs(curr[3 * size // 4 :])))
         )
-        if drift < tol / 4.0 and edge < tol / 4.0:
-            trimmed = _trim_kernel(curr, -(size // 2) - centre, tol)
+        if drift < budget / 4.0 and edge < budget / 4.0:
+            trimmed = _trim_kernel(curr, -(size // 2) - centre, budget)
             residual = inverse_residual_l1(alpha, trimmed)
             if residual > tol:
                 raise SlowDecayError(
                     f"inverse stabilised at {size} samples with residual "
-                    f"||g*ev - delta||_1 = {residual:.3e} above tol {tol:.1e}; "
-                    "a finer grid only adds rounding noise, so use a larger tol"
+                    f"||g*ev - delta||_1 = {residual:.3e} above tol {tol:.1e}"
                 )
             cert = _certificate(ev, vals, rev.min_modulus, guard)
             return Kernel(trimmed.offset, trimmed.coeffs, tol, "spectral",

@@ -188,8 +188,8 @@ def _c07_even_detail_annihilation() -> str:
             # from the pyramid: the lifting residual c_l[even] - (ev * c_{l-1}) of a
             # decimate chain, which is the even detail a full residual would hold
             pyr = decompose(c, mask, levels, mask_id=name)
-            stored = sum(e is not None for e in pyr.even)
-            _check(stored == 0, f"{name} N={length} exact: {stored} levels store even details")
+            stored = pyr.coarse.size + sum(d.size for d in pyr.stored)
+            _check(stored == length, f"{name} N={length} exact: {stored} coefficients stored")
             fine = c
             for level in range(levels, 0, -1):
                 coarse = decimate(fine, mask)

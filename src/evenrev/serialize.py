@@ -183,14 +183,14 @@ def pyramid_to_obj(p: Pyramid, packed: bool = False) -> dict:
 
     With ``packed=True`` only the odd-index detail entries are stored (the
     lossless half-size layout valid when the even entries vanish): a packed
-    file maps one to one onto an exact pyramid's stored coefficients.  Files
-    hold one signal's pyramid, so a batched pyramid is refused.
+    file maps one to one onto an exact pyramid's stored levels, the odd halves.
+    Files hold one signal's pyramid, so a batched pyramid is refused.
     """
     if p.coarse.ndim != 1:
         raise ParameterError(
             f"a pyramid file holds one signal, got coarse data of shape {p.coarse.shape}"
         )
-    details = p.odd if packed else p.details
+    details = [d[1::2] if full else d for d, full in p._full()] if packed else p.details
     return {
         "mask_id": p.mask_id,
         "levels": p.levels,
@@ -210,20 +210,15 @@ def pyramid_from_obj(obj: dict) -> Pyramid:
         raise ParameterError(
             f"pyramid levels is {levels} but it holds {len(stored_details)} detail arrays"
         )
+    packed = bool(obj.get("packed"))  # the odd halves, as an exact pyramid stores them
     details = []
-    size = coarse.size
     for level, stored in enumerate(stored_details, start=1):
-        size *= 2
         arr = _finite_array(stored, f"pyramid detail level {level}")
-        if obj.get("packed") and 2 * arr.size != size:
-            raise ShapeError(
-                f"packed detail level {level} has length {arr.size}, expected {size // 2}"
-            )
+        if arr.size != (expected := coarse.size << level >> packed):
+            raise ShapeError(f"{'packed ' * packed}detail level {level} has length {arr.size}, "
+                             f"expected {expected}")
         details.append(arr)
-    mask_id = str(obj.get("mask_id", "custom"))
-    if obj.get("packed"):  # the odd halves, as an exact pyramid stores them
-        return Pyramid._of_halves(coarse, details, [None] * levels, mask_id)
-    return Pyramid(coarse, tuple(details), mask_id)
+    return Pyramid._of(coarse, details, str(obj.get("mask_id", "custom")))
 
 
 # ---------------------------------------------------------------------------

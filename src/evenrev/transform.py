@@ -26,12 +26,13 @@ Two decimation modes, one dispatch for :func:`decimate` and :func:`decompose`:
   :class:`~evenrev.inverse.Kernel`, matching the bi-infinite formulation and
   exercising the truncation budget.  A kernel is a mask, so this is the same
   :func:`~evenrev.laurent.circular_convolve` that any mask goes through.
-  Its level also predicts the even samples and stores that residual too: the
-  truncation leak that the budget bounds.
+  Its level stores the whole residual ``c - S_alpha(coarse)``, whose even
+  entries are the truncation leak that the budget bounds.
 
-One private generator runs the analysis and yields each level's data with
-its odd and even details; :func:`decompose`, the decay report and ``--packed``
-read it, so nothing re-synthesizes.  All of these, and :func:`reconstruct`, work along
+A :class:`Pyramid` stores each level as one array, as it was made.  One
+private generator runs the analysis and yields each level's data with its
+detail; :func:`decompose`, the decay report and ``--packed`` read it, so
+nothing re-synthesizes.  All of these, and :func:`reconstruct`, work along
 the last axis of ``(..., N)`` arrays, as the :mod:`~evenrev.laurent`
 operators do, so a :class:`Pyramid` may hold a batch of signals' pyramids
 (every detail has the coarse data's leading shape).  Pyramid files stay 1-D:
@@ -55,7 +56,6 @@ from .inverse import Kernel, even_inverse_spectral
 from .laurent import (
     GUARD,
     Mask,
-    _periodic_convolve,
     _signal,
     as_signal,
     circular_convolve,
@@ -74,16 +74,15 @@ MODES = ("exact", "kernel")
 class Pyramid:
     """Coarse approximation plus detail signals for each finer level.
 
-    ``details[l-1]`` holds level ``l`` (period ``coarse.shape[-1] * 2**l``,
-    leading axes as ``coarse``); the finest level comes last.  It is the
-    full-length view, built on each access, of the halves stored: ``odd[l-1]``
-    at the odd indices, and ``even[l-1]`` at the even ones, ``None`` when every
-    entry there is ``+0.0``.  An exact pyramid holds N coefficients for N samples.
+    ``stored[l-1]`` holds level ``l`` (period ``coarse.shape[-1] * 2**l``,
+    leading axes as ``coarse``) as it was made, the finest level last: the odd
+    half of the residual from exact :func:`decompose` and packed files, the
+    full residual otherwise.  ``details`` gives every level at full length.  An
+    exact pyramid holds N coefficients for N samples.
     """
 
     coarse: np.ndarray
-    odd: tuple
-    even: tuple
+    stored: tuple
     mask_id: str
 
     def __init__(self, coarse, details, mask_id: str = "custom"):
@@ -92,53 +91,53 @@ class Pyramid:
             expected = coarse.shape[:-1] + (coarse.shape[-1] << i,)
             if d.shape != expected:
                 raise ShapeError(f"detail level {i} has shape {d.shape}, expected {expected}")
-        odd = [as_signal(d[..., 1::2]) for d in details]
-        self._hold(coarse, odd, [as_signal(d[..., 0::2]) for d in details], mask_id)
+        self._hold(coarse, [as_signal(d) for d in details], mask_id)
 
     @classmethod
-    def _of_halves(cls, coarse, odd, even, mask_id: str) -> "Pyramid":
-        """The pyramid of detail halves ``odd`` and ``even`` (``None`` for no even half) that
-        the caller has just computed: it takes them over uncopied, and makes them read-only."""
+    def _of(cls, coarse, stored, mask_id: str) -> "Pyramid":
+        """The pyramid of levels ``stored`` that the caller has just computed: it takes
+        them over uncopied, and makes them read-only."""
         p = cls.__new__(cls)
-        p._hold(coarse, odd, even, mask_id)
+        p._hold(coarse, stored, mask_id)
         return p
 
-    def _hold(self, coarse, odd, even, mask_id: str) -> None:
-        # An even half of +0.0 bits only is dropped: reconstruction adds nothing
-        # there, and ``details`` gives back the very bytes, -0.0 included.
-        even = [None if e is None or not np.count_nonzero(e.view(np.int64)) else e for e in even]
+    def _hold(self, coarse, stored, mask_id: str) -> None:
         coarse = as_signal(coarse)  # it may be a view of the caller's signal
-        for x in (coarse, *odd, *even):
-            if x is not None:
-                x.setflags(write=False)
+        for x in (coarse, *stored):
+            x.setflags(write=False)
         object.__setattr__(self, "coarse", coarse)
-        object.__setattr__(self, "odd", tuple(odd))
-        object.__setattr__(self, "even", tuple(even))
+        object.__setattr__(self, "stored", tuple(stored))
         object.__setattr__(self, "mask_id", mask_id)
+
+    def _full(self):
+        """``(level array, whether it is full-length)`` for each level, finest last."""
+        n = self.coarse.shape[-1]
+        return [(d, d.shape[-1] == n << level) for level, d in enumerate(self.stored, start=1)]
 
     @property
     def details(self) -> tuple:
-        """The full-length read-only details, built on each access: nothing caches them."""
+        """The full-length read-only details: an odd half gets its zeros interleaved."""
         out = []
-        for odd, even in zip(self.odd, self.even):
-            d = np.empty(odd.shape[:-1] + (2 * odd.shape[-1],))
-            d[..., 0::2] = 0.0 if even is None else even
-            d[..., 1::2] = odd
-            d.setflags(write=False)
+        for d, full in self._full():
+            if not full:
+                odd, d = d, np.zeros(d.shape[:-1] + (2 * d.shape[-1],))
+                d[..., 1::2] = odd
+                d.setflags(write=False)
             out.append(d)
         return tuple(out)
 
     @property
     def levels(self) -> int:
-        return len(self.odd)
+        return len(self.stored)
 
     @property
     def fine_length(self) -> int:
         return self.coarse.shape[-1] * 2 ** self.levels
 
     def max_even_detail(self) -> float:
-        """Largest detail magnitude at an even index, over all levels: stored halves only."""
-        return max((float(np.max(np.abs(e))) for e in self.even if e is not None), default=0.0)
+        """Largest detail magnitude at an even index, over the full-length levels."""
+        return max((float(np.max(np.abs(d[..., 0::2]))) for d, full in self._full() if full),
+                   default=0.0)
 
 
 def _halving(alpha: Mask, n: int, mode: str, kernel: Kernel | None, guard: float):
@@ -189,8 +188,8 @@ def decimate(
 
 
 def _analysis(c, alpha: Mask, levels: int, mode: str, kernel: Kernel | None, guard: float):
-    """Yield :func:`decompose`'s ``(c_J, odd_J, even_J), ..., (c_1, odd_1, even_1)``, then
-    ``(c_0, None, None)``: each level's data and detail halves, no even half in exact mode."""
+    """Yield :func:`decompose`'s ``(c_J, d_J), ..., (c_1, d_1)``, then ``(c_0, None)``: each
+    level's data and detail, the odd half in exact mode and the full residual in kernel mode."""
     c = _signal(c)
     n = c.shape[-1]
     if levels < 0 or n % (1 << levels) or n >> levels < 2:
@@ -198,26 +197,23 @@ def _analysis(c, alpha: Mask, levels: int, mode: str, kernel: Kernel | None, gua
             f"period {n} does not support {levels} halvings with >= 2 coarse samples"
         )
     halve = _halving(alpha, n, mode, kernel, guard)
-    ev, od = alpha.polyphase
     for level in range(levels):
         coarse = halve(c[..., ::2], level)  # a view, not a copy: nothing here writes into c
-        odd = c[..., 1::2] - _periodic_convolve(od.offset, od.floats, coarse)
-        even = (c[..., 0::2] - _periodic_convolve(ev.offset, ev.floats, coarse)
-                if mode == "kernel" else None)
-        yield c, odd, even
+        d = (c - subdivide(alpha, coarse) if mode == "kernel"  # the paper's detail
+             else c[..., 1::2] - circular_convolve(alpha.polyphase[1], coarse))
+        yield c, d
         c = coarse
-    yield c, None, None
+    yield c, None
 
 
 def _pyramid(steps, mask_id: str) -> Pyramid:
     """The :class:`Pyramid` of :func:`_analysis`'s steps."""
-    halves = []
-    for coarse, *pair in steps:  # one level's data alive at a time
-        halves.append(pair)
-    if len(halves) < 2:  # c_0 alone, without a detail
+    stored = []
+    for coarse, d in steps:  # one level's data alive at a time
+        stored.append(d)
+    if len(stored) < 2:  # c_0 alone, without a detail
         raise LevelError("need at least one level, got 0")
-    odd, even = zip(*halves[-2::-1])
-    return Pyramid._of_halves(coarse, odd, even, mask_id)
+    return Pyramid._of(coarse, stored[-2::-1], mask_id)
 
 
 def decompose(
@@ -231,8 +227,8 @@ def decompose(
 ) -> Pyramid:
     """Run ``levels`` analysis steps, finest data in, coarse-plus-details out.
 
-    Exact mode predicts only the odd samples and stores no even detail; kernel
-    mode stores the whole residual.  ``guard`` is :func:`decimate`'s bound on
+    Exact mode predicts only the odd samples and stores each level's odd half;
+    kernel mode stores the whole residual.  ``guard`` is :func:`decimate`'s bound on
     the even symbol's modulus.
     """
     return _pyramid(_analysis(c, alpha, levels, mode, kernel, guard), mask_id)
@@ -241,13 +237,10 @@ def decompose(
 def reconstruct(p: Pyramid, alpha: Mask) -> np.ndarray:
     """Synthesis ``c_l = S_alpha(c_{l-1}) + d_l`` into a new array, inverting :func:`decompose`."""
     c = p.coarse  # read only: each level's subdivide makes a new array
-    for odd, even in zip(p.odd, p.even):
+    for d, full in p._full():
         c = subdivide(alpha, c)
-        slots = c[..., 1::2]
-        slots += odd  # in place through a view: no array, and no copy back
-        if even is not None:
-            slots = c[..., 0::2]
-            slots += even
+        slots = c if full else c[..., 1::2]
+        slots += d  # in place: no array, and no copy back
     return c if p.levels else np.array(c)
 
 
@@ -259,7 +252,7 @@ def threshold_details(p: Pyramid, eps: float):
     """
     if not eps >= 0:  # also refuses NaN, which no |d| < eps would ever catch
         raise ParameterError(f"threshold must be nonnegative, got {eps!r}")
-    cut = [None if d is None else np.where(np.abs(d) < eps, 0.0, d) for d in p.odd + p.even]
-    kept = sum(int(np.count_nonzero(d)) for d in cut if d is not None)
-    total = 2 * sum(d.size for d in p.odd)
-    return Pyramid._of_halves(p.coarse, cut[:p.levels], cut[p.levels:], p.mask_id), kept, total
+    cut = [np.where(np.abs(d) < eps, 0.0, d) for d in p.stored]
+    kept = sum(int(np.count_nonzero(d)) for d in cut)
+    total = p.coarse.size * ((2 << p.levels) - 2)
+    return Pyramid._of(p.coarse, cut, p.mask_id), kept, total

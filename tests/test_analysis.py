@@ -490,7 +490,7 @@ def test_reconstruction_stability_of_an_exact_pyramid_keeps_its_even_noise(pertu
     # synthesis.  The loop here synthesizes whole arrays, as S(c) + d + dd.
     for name, mask in catalog().items():
         _, pyr = _pyramid(mask)
-        assert pyr.even == (None,) * pyr.levels
+        assert pyr.coarse.size + sum(d.size for d in pyr.stored) == pyr.fine_length
         report = reconstruction_stability_experiment(mask, pyr, perturbation, 6, seed=8)
         k_sub = report.constants["sup_norm"]
         rng = np.random.default_rng(8)

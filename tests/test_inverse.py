@@ -203,6 +203,17 @@ def test_spectral_residual_within_tol_for_catalog():
         assert abs(kern.sum() - 1.0) < 1e-11, name
 
 
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+def test_spectral_budget_scales_with_the_even_part_one_norm(tol):
+    # min |ev| = 1 but ||ev||_1 = 32.75: the residual multiplies the dropped mass
+    # by up to ||ev||_1, so a budget of tol alone left it 1.2 x tol
+    mask = Mask(-2, [-7.938034399268925, -0.06833396875827939, 16.876068798537847,
+                     1.0683339687582794, -7.938034399268925])
+    kern = even_inverse_spectral(mask, tol=tol)
+    assert kern.tol == tol
+    assert inverse_residual_l1(mask, kern) <= tol
+
+
 def test_spectral_rejects_nonreversible():
     m = upsample_mask(make_mask(0, [1, 1]))
     with pytest.raises(EvenReversibilityError):
@@ -259,8 +270,10 @@ def test_trim_kernel_matches_the_loop(values, tol, offset):
 
 
 def _doubling_reference(alpha, tol, max_size=1 << 20):
-    """The stabilisation loop that doubles past every rejected residual."""
+    """The stabilisation loop that doubles past every rejected residual, on the
+    budget ``tol / max(1, ||ev||_1)`` that the residual's growth calls for."""
     ev = even_part(alpha)
+    budget = tol / max(1.0, float(np.sum(np.abs(ev.floats))))
     size = 64
     while 4 * len(ev.coeffs) > size:
         size *= 2
@@ -271,8 +284,8 @@ def _doubling_reference(alpha, tol, max_size=1 << 20):
         lo = size // 2 - prev.size // 2
         drift = np.max(np.abs(curr[lo : lo + prev.size] - prev))
         edge = max(np.max(np.abs(curr[: size // 4])), np.max(np.abs(curr[3 * size // 4 :])))
-        if drift < tol / 4.0 and edge < tol / 4.0:
-            kernel = trim_kernel_loop(curr, -(size // 2), tol)
+        if drift < budget / 4.0 and edge < budget / 4.0:
+            kernel = trim_kernel_loop(curr, -(size // 2), budget)
             if inverse_residual_l1(alpha, kernel) <= tol:
                 return kernel
         prev = curr

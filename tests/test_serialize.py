@@ -145,18 +145,19 @@ def test_pyramid_roundtrip_packed():
 
 def test_packed_file_maps_onto_the_stored_odd_halves():
     # an exact pyramid holds N coefficients for N samples, and a packed file
-    # holds the same ones: loading it stores them as they are, with no even half
+    # holds the same ones: loading it stores them as they are, the odd halves
     c = np.random.default_rng(4).uniform(-1, 1, 64)
     pyr = decompose(c, bspline_mask(4), 3, mask_id="cubic")
-    assert pyr.coarse.size + sum(o.size for o in pyr.odd) == c.size
+    assert pyr.coarse.size + sum(d.size for d in pyr.stored) == c.size
     obj = json.loads(dump_json(pyramid_to_obj(pyr, packed=True)))
-    assert obj["details"] == [o.tolist() for o in pyr.odd]
+    assert obj["details"] == [d.tolist() for d in pyr.stored]
     back = pyramid_from_obj(obj)
-    assert back.even == (None, None, None) and back.mask_id == "cubic"
-    assert [o.tobytes() for o in back.odd] == [o.tobytes() for o in pyr.odd]
+    assert back.mask_id == "cubic"
+    assert [d.tobytes() for d in back.stored] == [d.tobytes() for d in pyr.stored]
     assert [d.tobytes() for d in back.details] == [d.tobytes() for d in pyr.details]
     unpacked = pyramid_from_obj(json.loads(dump_json(pyramid_to_obj(pyr))))
-    assert unpacked.even == (None, None, None)  # its even entries are all 0.0
+    assert [d.shape for d in unpacked.stored] == [d.shape for d in pyr.details]  # as written
+    assert unpacked.max_even_detail() == 0.0  # its even entries are all 0.0
 
 
 def test_signal_csv_roundtrip():

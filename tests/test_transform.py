@@ -396,10 +396,11 @@ def test_synthesize_levels_double_the_period_and_keep_the_leading_shape(lead):
     before = c.copy()
     mask = bspline_mask(4)
     steps = list(_analysis(c, mask, 3, "exact", None, GUARD))
-    levels = [x for x, _, _ in steps[::-1]]
+    levels = [x for x, _ in steps[::-1]]
     assert [x.shape for x in levels] == [lead + (10 << l,) for l in range(4)]
-    assert [d is None for _, d, _ in steps] == [False, False, False, True]
-    assert all(e is None for _, _, e in steps)  # exact mode predicts no even sample
+    assert [d is None for _, d in steps] == [False, False, False, True]
+    # exact mode predicts no even sample: each detail is the odd half
+    assert [d.shape for _, d in steps[:-1]] == [lead + (40 >> l,) for l in range(3)]
     assert levels[-1] is c and c.tobytes() == before.tobytes()  # read, never written
     assert not any(np.shares_memory(a, b) for a in levels for b in levels if a is not b)
     pyr = decompose(c, mask, 3)
@@ -511,14 +512,16 @@ def test_halves_are_the_full_residual_bit_for_bit(index, mode, lead, levels, m, 
     assert [d.shape for d in full] == [d.shape for d in details]
     assert [d.tobytes() for d in full] == [d.tobytes() for d in details]
     assert not any(d.flags.writeable for d in full)
-    assert [o.shape[-1] for o in pyr.odd] == [d.shape[-1] // 2 for d in details]
+    halved = 2 if mode == "exact" else 1  # exact mode stores the odd halves
+    assert [s.shape[-1] for s in pyr.stored] == [d.shape[-1] // halved for d in details]
     if mode == "exact":
-        assert pyr.even == (None,) * levels
         assert pyr.max_even_detail() == 0.0
     assert reconstruct(pyr, mask).tobytes() == synthesis_of(coarse, details, mask).tobytes()
-    rebuilt = Pyramid(coarse, tuple(details))  # the public constructor splits them alike
+    # the public constructor stores full-length levels, even slots' +0.0 included:
+    # everything made from it must match the pyramid decompose made, byte for byte
+    rebuilt = Pyramid(coarse, tuple(details))
     assert [d.tobytes() for d in rebuilt.details] == [d.tobytes() for d in details]
-    assert [e is None for e in rebuilt.even] == [e is None for e in pyr.even]
+    assert reconstruct(rebuilt, mask).tobytes() == reconstruct(pyr, mask).tobytes()
     for eps in (0.0, 1e-300, 0.5):
         cut = [np.where(np.abs(d) < eps, 0.0, d) for d in details]
         small, kept, total = threshold_details(pyr, eps)
@@ -526,17 +529,27 @@ def test_halves_are_the_full_residual_bit_for_bit(index, mode, lead, levels, m, 
         assert total == sum(d.size for d in cut)
         assert [d.tobytes() for d in small.details] == [d.tobytes() for d in cut]
         assert reconstruct(small, mask).tobytes() == synthesis_of(coarse, cut, mask).tobytes()
+        small_r, kept_r, total_r = threshold_details(rebuilt, eps)
+        assert (kept_r, total_r) == (kept, total)
+        assert [d.tobytes() for d in small_r.details] == [d.tobytes() for d in cut]
+        assert reconstruct(small_r, mask).tobytes() == reconstruct(small, mask).tobytes()
 
 
-def test_pyramid_stores_an_even_half_unless_every_entry_is_positive_zero():
-    odd = np.array([1.0, -2.0])
-    for even, stored in [([0.0, 0.0], False), ([-0.0, 0.0], True), ([0.0, 5e-324], True)]:
+def test_pyramid_stores_each_level_as_it_was_made():
+    # the public constructor keeps a level's bytes: -0.0 comes back as -0.0
+    for even in ([0.0, 0.0], [-0.0, 0.0], [0.0, 5e-324]):
         d = np.empty(4)
-        d[0::2], d[1::2] = even, odd
+        d[0::2], d[1::2] = even, [1.0, -2.0]
         pyr = Pyramid(np.zeros(2), (d,))
-        assert (pyr.even[0] is not None) == stored
-        assert pyr.details[0].tobytes() == d.tobytes()  # -0.0 comes back as -0.0
-        assert pyr.odd[0].tobytes() == odd.tobytes() and pyr.odd[0].flags.c_contiguous
+        assert pyr.stored[0].tobytes() == pyr.details[0].tobytes() == d.tobytes()
+        assert pyr.stored[0].flags.c_contiguous
+    c = np.random.default_rng(12).uniform(-1, 1, 64)
+    exact = decompose(c, bspline_mask(4), 4)  # the odd halves: N coefficients for N samples
+    assert exact.coarse.size + sum(d.size for d in exact.stored) == c.size
+    assert all(d.flags.c_contiguous for d in exact.stored)
+    kernel = decompose(c, bspline_mask(4), 4, mode="kernel")  # the full residuals
+    assert [d.shape for d in kernel.stored] == [(4 << l,) for l in range(1, 5)]
+    assert all(a is b for a, b in zip(kernel.details, kernel.stored))  # given back uncopied
 
 
 def test_pyramid_copies_what_it_is_given():
@@ -546,7 +559,7 @@ def test_pyramid_copies_what_it_is_given():
     d[:] = -1.0
     coarse[:] = 0.0
     assert pyr.details[0].tolist() == list(np.arange(8.0)) and pyr.coarse.tolist() == [1.0] * 4
-    assert not any(x.flags.writeable for x in (pyr.coarse, *pyr.odd, *pyr.even))
+    assert not any(x.flags.writeable for x in (pyr.coarse, *pyr.stored))
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-9, 1e-10, 1e-11, 1e-12])
@@ -559,8 +572,8 @@ def test_kernel_even_details_stay_under_the_packed_limit(tol):
     floor = 1e-10 * max(1.0, float(np.max(np.abs(signal))))
     for name, mask in catalog().items():
         kernel = even_inverse_spectral(mask, tol=tol)
-        for c, _, even in list(_analysis(signal, mask, 5, "kernel", kernel, GUARD))[:-1]:
-            leak = np.max(np.abs(even))
+        for c, d in list(_analysis(signal, mask, 5, "kernel", kernel, GUARD))[:-1]:
+            leak = np.max(np.abs(d[0::2]))
             assert leak <= 1.01 * tol * np.max(np.abs(c)) + floor, (name, tol, leak)
 
 
