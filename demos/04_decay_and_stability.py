@@ -15,12 +15,11 @@ from evenrev import (
     decay_report,
     decompose,
     decomposition_stability_experiment,
-    estimate_subdivision_sup_norm,
     reconstruction_stability_experiment,
 )
 
 for name, mask in (("cubic spline", bspline_mask(4)), ("4-point interpolatory", dd_mask(2))):
-    report = decay_report("sine", 10, 2, mask, mask_id=name)
+    report = decay_report("sine", 10, 2, mask)
     print(f"{name}: f(t) = sin(2 pi t), 10 levels")
     print(f"  constants: ||g||_1 = {report.constants['gamma_norm1']:.6f}, "
           f"K_combined = {report.constants['k_combined']:.6f}")
@@ -45,8 +44,8 @@ for p in ("inf", 2):
 
 rng = np.random.default_rng(9)
 pyr = decompose(rng.uniform(-1, 1, 256), mask, 6)
-k_sub = estimate_subdivision_sup_norm(mask)
-rep = reconstruction_stability_experiment(mask, pyr, 1e-3, 100, seed=11, sup_norm=k_sub)
+rep = reconstruction_stability_experiment(mask, pyr, 1e-3, 100, seed=11)
+k_sub = rep.constants["sup_norm"]  # estimated from the iterated masks
 print(f"\nReconstruction stability with estimated sup-norm constant {k_sub:.4f}:")
 print(f"  100 trials at amplitude 1e-3, all bounds hold: {rep.all_ok}")
 worst = max(t.measured for t in rep.trials)

@@ -42,7 +42,6 @@ from .laurent import (
     upsample_mask,
 )
 from .masks import (
-    PseudoSplineParams,
     bspline_mask,
     catalog,
     dd_mask,
@@ -60,10 +59,8 @@ from .inverse import (
     even_inverse_closed_cubic,
     even_inverse_closed_quadratic,
     even_inverse_spectral,
-    min_evensymbol_dual,
-    min_evensymbol_primal,
+    min_even_symbol,
     one_norm_bound_C,
-    pseudo_spline_gamma_norm2,
 )
 from .transform import Pyramid, decimate, decompose, reconstruct, threshold_details
 from .analysis import (

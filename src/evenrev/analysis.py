@@ -164,13 +164,9 @@ class DecayReport:
     kind: str
     levels: int
     base: int
-    mask_id: str
     mode: str
     rows: tuple
     constants: dict
-
-    def row(self, level: int) -> DecayRow:
-        return self.rows[level]
 
 
 def decay_report(
@@ -181,7 +177,6 @@ def decay_report(
     mode: str = "exact",
     kernel: Kernel | None = None,
     params: dict | None = None,
-    mask_id: str = "custom",
     guard: float = GUARD,
 ) -> DecayReport:
     """Decompose a sampled test function and tabulate norms against bounds.
@@ -214,7 +209,7 @@ def decay_report(
         "k_combined": moments.k_combined,
         "gamma_norm1": g1,
     }
-    return DecayReport(kind, levels, base, mask_id, mode, tuple(rows[::-1]), constants)
+    return DecayReport(kind, levels, base, mode, tuple(rows[::-1]), constants)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +304,6 @@ class StabilityTrial:
 @dataclass(frozen=True)
 class StabilityReport:
     kind: str
-    mask_id: str
     trials: tuple
     constants: dict
 
@@ -325,8 +319,6 @@ def reconstruction_stability_experiment(
     perturbation: float,
     trials: int,
     seed: int = 0,
-    sup_norm: float | None = None,
-    mask_id: str = "custom",
 ) -> StabilityReport:
     """Perturb pyramid data and check the synthesis stability bound.
 
@@ -336,9 +328,8 @@ def reconstruction_stability_experiment(
     empirically estimated upscaling constant ``K_sub``.
     """
     _check_trials(trials, perturbation)
-    k_sub = sup_norm
-    if k_sub is None:  # powers up to the depth bound every synthesis run here
-        k_sub = estimate_subdivision_sup_norm(alpha, max_power=max(12, pyramid.levels))
+    # powers up to the depth bound every synthesis run here
+    k_sub = estimate_subdivision_sup_norm(alpha, max_power=max(12, pyramid.levels))
     rng = np.random.default_rng(seed)
     base = reconstruct(pyramid, alpha)
     # row t holds trial t's draws in the order a trial at a time would make
@@ -360,7 +351,7 @@ def reconstruction_stability_experiment(
         budget = k_sub * (a + sum(b))
         rows.append(StabilityTrial(t, m, budget, _holds(m, budget)))
     return StabilityReport(
-        "reconstruction", mask_id, tuple(rows), {"sup_norm": k_sub, "perturbation": perturbation}
+        "reconstruction", tuple(rows), {"sup_norm": k_sub, "perturbation": perturbation}
     )
 
 
@@ -375,7 +366,6 @@ def decomposition_stability_experiment(
     perturbation: float = 1e-3,
     mode: str = "exact",
     kernel: Kernel | None = None,
-    mask_id: str = "custom",
     guard: float = GUARD,
     samples: int = CIRCLE_SAMPLES,
 ) -> StabilityReport:
@@ -428,7 +418,7 @@ def decomposition_stability_experiment(
         "levels": levels,
         "perturbation": perturbation,
     }
-    return StabilityReport("decomposition", mask_id, tuple(rows), constants)
+    return StabilityReport("decomposition", tuple(rows), constants)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +436,6 @@ class CompressionRow:
 
 @dataclass(frozen=True)
 class CompressionReport:
-    mask_id: str
     levels: int
     rows: tuple
     constants: dict
@@ -459,8 +448,6 @@ def compression_experiment(
     eps_grid,
     mode: str = "exact",
     kernel: Kernel | None = None,
-    sup_norm: float | None = None,
-    mask_id: str = "custom",
     guard: float = GUARD,
 ) -> CompressionReport:
     """Hard-threshold the details over a grid of cutoffs and tabulate errors.
@@ -470,10 +457,9 @@ def compression_experiment(
     budget ``K_sub * sum_l ||d_l - d_l(eps)||_inf`` that provably dominates
     the error.  ``guard`` is :func:`decompose`'s.
     """
-    k_sub = sup_norm
-    if k_sub is None:  # powers up to the depth bound every synthesis run here
-        k_sub = estimate_subdivision_sup_norm(alpha, max_power=max(12, levels))
-    pyramid = decompose(signal, alpha, levels, mode, kernel, mask_id, guard)
+    # powers up to the depth bound every synthesis run here
+    k_sub = estimate_subdivision_sup_norm(alpha, max_power=max(12, levels))
+    pyramid = decompose(signal, alpha, levels, mode, kernel, guard=guard)
     baseline = reconstruct(pyramid, alpha)
     rows = []
     for eps in eps_grid:
@@ -485,4 +471,4 @@ def compression_experiment(
             for d, dt in zip(pyramid.stored, squeezed.stored)
         )
         rows.append(CompressionRow(float(eps), kept / total if total else 1.0, err, k_sub * dropped))
-    return CompressionReport(mask_id, levels, tuple(rows), {"sup_norm": k_sub})
+    return CompressionReport(levels, tuple(rows), {"sup_norm": k_sub})

@@ -47,6 +47,8 @@ class RunConfig:
             )
         if not 0 < self.inverse_tol < math.inf:
             raise ParameterError(f"inverse_tol must be finite and > 0, got {self.inverse_tol!r}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         return self
 
 
@@ -56,17 +58,18 @@ def _load_config(path: str | None) -> RunConfig:
         obj = serialize.load_json(path)
         if not isinstance(obj, dict):
             raise ParameterError(f"config {path} must be a JSON object")
-        for field in dataclasses.fields(cfg):
-            if field.name not in obj:
-                continue
-            value, default = obj[field.name], getattr(cfg, field.name)
+        names = [field.name for field in dataclasses.fields(cfg)]
+        if unknown := [key for key in obj if key not in names]:
+            raise ParameterError(f"config {path}: unknown key {', '.join(map(repr, unknown))}; "
+                                 f"the keys are {', '.join(names)}")
+        for name, value in obj.items():
+            default = getattr(cfg, name)
             kind = (int, float) if isinstance(default, float) else type(default)
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ParameterError(
-                    f"config {path}: {field.name} must be {type(default).__name__}, "
-                    f"got {value!r:.40}"
+                    f"config {path}: {name} must be {type(default).__name__}, got {value!r:.40}"
                 )
-            setattr(cfg, field.name, value)
+            setattr(cfg, name, value)
     return cfg.validate()
 
 
@@ -339,7 +342,7 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.samples is not None:
             cfg.circle_samples = args.samples
-            cfg.validate()
+        cfg.validate()  # again: the flags may override the config
         return args.handler(args, cfg)
     except EvenRevError as exc:
         sys.stderr.write(f"error: validation: {exc}\n")

@@ -26,7 +26,7 @@ from .errors import (
     SlowDecayError,
 )
 from .laurent import CIRCLE_SAMPLES, GUARD, INVERSE_TOL, Mask, norm_l1, symbol_on_circle
-from .masks import PseudoSplineParams, bspline_mask, generalized_binomial
+from .masks import _check_pseudo_spline, bspline_mask, generalized_binomial
 
 __all__ = [
     "SQRT2_RATIO",
@@ -40,15 +40,16 @@ __all__ = [
     "even_inverse_spectral",
     "even_inverse",
     "decay_certificate",
-    "pseudo_spline_gamma_norm2",
-    "min_evensymbol_primal",
-    "min_evensymbol_dual",
+    "min_even_symbol",
     "one_norm_bound_C",
     "inverse_residual_l1",
 ]
 
 #: Decay ratio 3 - 2*sqrt(2) of the cubic spline even-inverse.
 SQRT2_RATIO = 3.0 - 2.0 * math.sqrt(2.0)
+
+#: Largest grid the spectral inverter doubles to before it gives up.
+_MAX_GRID = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -114,15 +115,13 @@ def _even_symbol(alpha: Mask, samples: int, guard: float):
     return ev, vals, EvenReversibility(bool(mods[i] > guard), float(mods[i]), witness)
 
 
-def check_even_reversible(
-    alpha: Mask, samples: int = CIRCLE_SAMPLES, guard: float = GUARD
-) -> EvenReversibility:
-    """Test ``|ev(z)| > guard`` on a unit-circle grid.
+def check_even_reversible(alpha: Mask) -> EvenReversibility:
+    """Test ``|ev(z)| > GUARD`` on the ``CIRCLE_SAMPLES``-point unit-circle grid.
 
     Returns the minimum modulus and the grid point attaining it; raises
     :class:`EvenReversibilityError` when the even part is identically zero.
     """
-    return _even_symbol(alpha, samples, guard)[2]
+    return _even_symbol(alpha, CIRCLE_SAMPLES, GUARD)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +212,6 @@ def even_inverse_spectral(
     alpha: Mask,
     tol: float = INVERSE_TOL,
     guard: float = GUARD,
-    max_size: int = 1 << 20,
     samples: int = CIRCLE_SAMPLES,
 ) -> Kernel:
     """Invert the even part of ``alpha`` by sampling ``1/ev`` at roots of unity.
@@ -225,8 +223,8 @@ def even_inverse_spectral(
     stays below ``b/4`` and the residual is verified to be below ``tol``.
 
     Raises :class:`EvenReversibilityError` when the even symbol (nearly)
-    vanishes, and :class:`SlowDecayError` when the budget ``max_size`` is
-    exhausted before stabilisation or when the stabilised residual exceeds
+    vanishes, and :class:`SlowDecayError` when a grid of 2**20 points is
+    reached before stabilisation or when the stabilised residual exceeds
     ``tol`` (``tol`` near the rounding floor).
     """
     if not 0 < tol < math.inf:
@@ -246,7 +244,7 @@ def even_inverse_spectral(
         size *= 2
     prev = _periodized_inverse(centred, size)
     budget = tol / max(1.0, norm_l1(ev))
-    while size < max_size:
+    while size < _MAX_GRID:
         size *= 2
         curr = _periodized_inverse(centred, size)
         half = prev.size // 2
@@ -268,7 +266,7 @@ def even_inverse_spectral(
                           cert if cert.hypothesis_met else None)
         prev = curr
     raise SlowDecayError(
-        f"inverse coefficients did not stabilise below {tol:.1e} within {max_size} samples"
+        f"inverse coefficients did not stabilise below {tol:.1e} within {_MAX_GRID} samples"
     )
 
 
@@ -321,9 +319,7 @@ def even_inverse(
 # ---------------------------------------------------------------------------
 
 
-def decay_certificate(
-    alpha: Mask, samples: int = CIRCLE_SAMPLES, guard: float = GUARD
-) -> DecayCertificate:
+def decay_certificate(alpha: Mask) -> DecayCertificate:
     """Exponential-decay constants for the inverse of the even part.
 
     ``kappa = max|ev| / min|ev|`` and ``K = max(1, (1+sqrt(kappa))^2/(2*kappa))
@@ -331,10 +327,11 @@ def decay_certificate(
     pure impulse and the exact values ``lam = 0`` and ``K = 1/min|ev|`` are
     returned.  The bound is guaranteed only when the even symbol is real and
     strictly positive on the circle; otherwise the returned constants are
-    nominal and ``hypothesis_met`` is ``False``.
+    nominal and ``hypothesis_met`` is ``False``.  The symbol is sampled on the
+    ``CIRCLE_SAMPLES``-point grid, and ``GUARD`` is the vanishing threshold.
     """
-    ev, vals, rev = _even_symbol(alpha, samples, guard)
-    return _certificate(ev, vals, rev.min_modulus, guard)
+    ev, vals, rev = _even_symbol(alpha, CIRCLE_SAMPLES, GUARD)
+    return _certificate(ev, vals, rev.min_modulus, GUARD)
 
 
 def _decay_constants(kappa: float, s: int):
@@ -363,27 +360,13 @@ def _certificate(ev, vals, mn, guard) -> DecayCertificate:
     return DecayCertificate(kappa, ev.bandwidth, q, lam, amplitude / mn, positive)
 
 
-def _min_even_symbol(n: int, nu: int) -> Fraction:
+def min_even_symbol(n: int, nu: int) -> Fraction:
     """Exact min |ev| of the order-``n`` type-``nu`` pseudo-spline, attained at ``z = -1``:
-    ``sum_{j<=nu} C(n/2 + nu, j) / 2**(floor((n-1)/2) + nu)`` (generalized binomials)."""
-    PseudoSplineParams(n, nu)
+    ``sum_{j<=nu} C(n/2 + nu, j) / 2**(floor((n-1)/2) + nu)`` (generalized binomials),
+    whose reciprocal is the spectral norm of the even-inverse (primal: n = 2k, dual: 2k + 1)."""
+    _check_pseudo_spline(n, nu)
     total = sum(generalized_binomial(Fraction(n, 2) + nu, j) for j in range(nu + 1))
     return total / 2 ** ((n - 1) // 2 + nu)
-
-
-def pseudo_spline_gamma_norm2(n: int, nu: int) -> float:
-    """Spectral norm of the pseudo-spline even-inverse: ``1 / min |ev|``, in closed form."""
-    return float(1 / _min_even_symbol(n, nu))
-
-
-def min_evensymbol_primal(k: int, nu: int) -> float:
-    """Minimum even-symbol modulus of the order-2k primal mask, closed form."""
-    return float(_min_even_symbol(2 * k, nu))
-
-
-def min_evensymbol_dual(k: int, nu: int) -> float:
-    """Minimum even-symbol modulus of the order-(2k+1) dual mask, closed form."""
-    return float(_min_even_symbol(2 * k + 1, nu))
 
 
 def one_norm_bound_C(k: int, nu: int) -> float:
@@ -396,7 +379,7 @@ def one_norm_bound_C(k: int, nu: int) -> float:
     """
     if k < 2:
         raise ParameterError(f"need k >= 2 and 0 <= nu <= k-1, got ({k}, {nu})")
-    kappa = 1 / _min_even_symbol(2 * k, nu)
+    kappa = 1 / min_even_symbol(2 * k, nu)
     if kappa == 1:
         return 1.0
     _, lam, amplitude = _decay_constants(float(kappa), (k + nu) // 2)

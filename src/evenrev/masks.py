@@ -8,14 +8,12 @@ asserted elsewhere in the package hold without rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError
 from .laurent import Mask, convolve, delta, make_mask
 
 __all__ = [
-    "PseudoSplineParams",
     "generalized_binomial",
     "bspline_mask",
     "pseudo_spline_mask",
@@ -36,25 +34,17 @@ def generalized_binomial(top, j: int) -> Fraction:
     return num / math.factorial(j)
 
 
-@dataclass(frozen=True)
-class PseudoSplineParams:
-    """Admissible parameter pair (order n, type nu) of a pseudo-spline mask.
+def _check_pseudo_spline(n: int, nu: int) -> None:
+    """Refuse a pair (order ``n``, type ``nu``) that names no pseudo-spline mask.
 
     Primal masks have even ``n``, dual masks odd ``n``; ``nu = 0`` recovers the
     B-spline of order ``n`` and ``(n, nu) = (2k, k-1)`` the 2k-point
     interpolatory mask.
     """
-
-    n: int
-    nu: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ParameterError(f"pseudo-spline order must be >= 2, got {self.n}")
-        if not 0 <= self.nu <= self.n // 2 - 1:
-            raise ParameterError(
-                f"type parameter nu={self.nu} outside [0, {self.n // 2 - 1}] for order {self.n}"
-            )
+    if n < 2:
+        raise ParameterError(f"pseudo-spline order must be >= 2, got {n}")
+    if not 0 <= nu <= n // 2 - 1:
+        raise ParameterError(f"type parameter nu={nu} outside [0, {n // 2 - 1}] for order {n}")
 
 
 def bspline_mask(order: int) -> Mask:
@@ -77,7 +67,7 @@ def pseudo_spline_mask(n: int, nu: int) -> Mask:
     reciprocal series in ``q(z) = 1/2 - (z + 1/z)/4``, with coefficients
     ``C(n/2 + j - 1, j)`` evaluated as exact rational products.
     """
-    PseudoSplineParams(n, nu)
+    _check_pseudo_spline(n, nu)
     spline = bspline_mask(n)
     q = make_mask(-1, (Fraction(-1, 4), Fraction(1, 2), Fraction(-1, 4)))
     correction = Mask(0, ())

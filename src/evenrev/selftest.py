@@ -34,10 +34,8 @@ from .inverse import (
     cubic_series_constants,
     decay_certificate,
     even_inverse_spectral,
-    min_evensymbol_dual,
-    min_evensymbol_primal,
+    min_even_symbol,
     one_norm_bound_C,
-    pseudo_spline_gamma_norm2,
 )
 from .laurent import (
     Mask,
@@ -121,7 +119,7 @@ def _c04_even_symbol_norms() -> str:
     for n, nu in _NORM_PAIRS:
         ev = even_part(pseudo_spline_mask(n, nu))
         _close(sup_norm_on_circle(ev), 1.0, 1e-9, f"max even symbol of ({n},{nu})")
-        closed = pseudo_spline_gamma_norm2(n, nu)
+        closed = float(1 / min_even_symbol(n, nu))
         sampled = 1.0 / min_modulus_on_circle(ev)
         _check(
             abs(closed - sampled) <= 1e-9 * closed,
@@ -133,7 +131,7 @@ def _c04_even_symbol_norms() -> str:
         for k in kern.support:
             if k:
                 _close(kern.coeff(k), 0.0, _TOL, f"side coefficient {k} of ({n},{nu})")
-        _check(pseudo_spline_gamma_norm2(n, nu) == 1.0, f"norm of ({n},{nu}) not exactly 1")
+        _check(min_even_symbol(n, nu) == 1, f"norm of ({n},{nu}) not exactly 1")
     return f"{len(_NORM_PAIRS)} parameter pairs, {len(_INTERPOLATORY)} interpolatory"
 
 
@@ -142,11 +140,11 @@ def _c05_even_symbol_minima() -> str:
     for k in range(2, 6):
         for nu in range(k):
             sampled = min_modulus_on_circle(even_part(pseudo_spline_mask(2 * k, nu)))
-            _close(sampled, min_evensymbol_primal(k, nu), 1e-9, f"primal minimum ({k},{nu})")
+            _close(sampled, float(min_even_symbol(2 * k, nu)), 1e-9, f"primal minimum ({k},{nu})")
             count += 1
     for k, nu in [(1, 0), (2, 0), (2, 1), (3, 1)]:
         sampled = min_modulus_on_circle(even_part(pseudo_spline_mask(2 * k + 1, nu)))
-        _close(sampled, min_evensymbol_dual(k, nu), 1e-9, f"dual minimum ({k},{nu})")
+        _close(sampled, float(min_even_symbol(2 * k + 1, nu)), 1e-9, f"dual minimum ({k},{nu})")
         count += 1
     return f"{count} closed-form minima"
 
@@ -217,7 +215,7 @@ def _c08_decay_inequalities() -> str:
     levels = 10
     for name, mask in _DECAY_MASKS:
         kern = _kern(mask)
-        report = decay_report("sine", levels, 2, mask, mode="exact", kernel=kern, mask_id=name)
+        report = decay_report("sine", levels, 2, mask, mode="exact", kernel=kern)
         combined = report.constants["k_combined"]
         for row in report.rows:
             _check(
@@ -235,8 +233,8 @@ def _c08_decay_inequalities() -> str:
     kern = _kern(mask)
     fprime = 2.0 * math.pi
     combined = filter_moment_constants(mask, kern).k_combined
-    long_report = decay_report("sine", levels, 2, mask, kernel=kern, mask_id=name)
-    short_report = decay_report("sine", 8, 2, mask, kernel=kern, mask_id=name)
+    long_report = decay_report("sine", levels, 2, mask, kernel=kern)
+    short_report = decay_report("sine", 8, 2, mask, kernel=kern)
     for row in long_report.rows[1:]:
         scaled = row.detail_norm * 2.0 ** row.level
         _check(
@@ -245,8 +243,8 @@ def _c08_decay_inequalities() -> str:
         )
     for level in range(1, 9):
         _close(
-            long_report.row(level).bound_detail,
-            short_report.row(level).bound_detail,
+            long_report.rows[level].bound_detail,
+            short_report.rows[level].bound_detail,
             _TOL,
             f"depth-independence of the interpolatory bound at level {level}",
         )
@@ -276,16 +274,16 @@ def _c10_stability() -> str:
         for p in (2, "inf"):
             report = decomposition_stability_experiment(
                 mask, p=p, trials=100, seed=99, length=256, levels=6,
-                perturbation=1e-3, kernel=kern, mask_id=name,
+                perturbation=1e-3, kernel=kern,
             )
             bad = [t for t in report.trials if not t.ok]
             _check(not bad, f"{name} p={p}: {len(bad)} decomposition-stability violations")
         c = rng.uniform(-1.0, 1.0, 256)
         pyr = decompose(c, mask, 6, kernel=kern, mask_id=name)
-        report = reconstruction_stability_experiment(mask, pyr, 1e-3, 100, seed=7, mask_id=name)
+        report = reconstruction_stability_experiment(mask, pyr, 1e-3, 100, seed=7)
         bad = [t for t in report.trials if not t.ok]
         _check(not bad, f"{name}: {len(bad)} reconstruction-stability violations")
-        zero = reconstruction_stability_experiment(mask, pyr, 0.0, 3, seed=7, mask_id=name)
+        zero = reconstruction_stability_experiment(mask, pyr, 0.0, 3, seed=7)
         _check(all(t.measured == 0.0 for t in zero.trials), f"{name}: zero perturbation not exact")
     return f"{len(_DECAY_MASKS)} masks x (2 norms x 100 + 100 + 3) trials"
 

@@ -74,6 +74,14 @@ def _number_field(obj, key: str, what: str) -> float:
     return float(value)
 
 
+def _bool_field(obj: dict, key: str, what: str, default: bool) -> bool:
+    """``obj[key]`` if it is a JSON boolean, ``default`` if it is absent (as in older files)."""
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        raise ParameterError(f"{what} field {key!r} must be true or false, got {value!r:.40}")
+    return value
+
+
 def _finite_array(values, what: str) -> np.ndarray:
     """A JSON list of numbers as float64, checked by one ``isfinite`` pass."""
     try:
@@ -144,7 +152,7 @@ def _certificate_from_obj(obj) -> DecayCertificate | None:
         _number_field(obj, "q", what),
         _number_field(obj, "lambda", what),
         _number_field(obj, "K", what),
-        bool(obj.get("hypothesis_met", True)),
+        _bool_field(obj, "hypothesis_met", what, True),
     )
 
 
@@ -210,7 +218,7 @@ def pyramid_from_obj(obj: dict) -> Pyramid:
         raise ParameterError(
             f"pyramid levels is {levels} but it holds {len(stored_details)} detail arrays"
         )
-    packed = bool(obj.get("packed"))  # the odd halves, as an exact pyramid stores them
+    packed = _bool_field(obj, "packed", "pyramid", False)  # true: the odd halves only
     details = []
     for level, stored in enumerate(stored_details, start=1):
         arr = _finite_array(stored, f"pyramid detail level {level}")

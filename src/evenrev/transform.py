@@ -130,10 +130,6 @@ class Pyramid:
     def levels(self) -> int:
         return len(self.stored)
 
-    @property
-    def fine_length(self) -> int:
-        return self.coarse.shape[-1] * 2 ** self.levels
-
     def max_even_detail(self) -> float:
         """Largest detail magnitude at an even index, over the full-length levels."""
         return max((float(np.max(np.abs(d[..., 0::2]))) for d, full in self._full() if full),
@@ -199,8 +195,11 @@ def _analysis(c, alpha: Mask, levels: int, mode: str, kernel: Kernel | None, gua
     halve = _halving(alpha, n, mode, kernel, guard)
     for level in range(levels):
         coarse = halve(c[..., ::2], level)  # a view, not a copy: nothing here writes into c
-        d = (c - subdivide(alpha, coarse) if mode == "kernel"  # the paper's detail
-             else c[..., 1::2] - circular_convolve(alpha.polyphase[1], coarse))
+        if mode == "kernel":  # the paper's detail c - S(coarse), in the upscaled array
+            d = subdivide(alpha, coarse)
+            np.subtract(c, d, out=d)
+        else:
+            d = c[..., 1::2] - circular_convolve(alpha.polyphase[1], coarse)
         yield c, d
         c = coarse
     yield c, None

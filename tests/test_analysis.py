@@ -134,7 +134,7 @@ def test_decay_report_interpolatory_depth_independent():
     short = decay_report("sine", 7, 2, mask, kernel=kern)
     assert abs(long.constants["gamma_norm1"] - 1.0) < 1e-12
     for level in range(1, 8):
-        assert abs(long.row(level).bound_detail - short.row(level).bound_detail) < 1e-12
+        assert abs(long.rows[level].bound_detail - short.rows[level].bound_detail) < 1e-12
 
 
 def test_decay_report_constant_signal_zero_norms():
@@ -148,8 +148,8 @@ def test_decay_report_constant_signal_zero_norms():
 
 def test_decay_report_level_zero_has_no_detail():
     report = decay_report("sine", 5, 2, bspline_mask(3))
-    assert report.row(0).detail_norm is None
-    assert report.row(0).bound_detail is None
+    assert report.rows[0].detail_norm is None
+    assert report.rows[0].bound_detail is None
     assert len(report.rows) == 6
 
 
@@ -489,8 +489,8 @@ def test_reconstruction_stability_of_an_exact_pyramid_keeps_its_even_noise(pertu
     # detail slots: full-length noise rows, whose even entries must reach the
     # synthesis.  The loop here synthesizes whole arrays, as S(c) + d + dd.
     for name, mask in catalog().items():
-        _, pyr = _pyramid(mask)
-        assert pyr.coarse.size + sum(d.size for d in pyr.stored) == pyr.fine_length
+        c, pyr = _pyramid(mask)
+        assert pyr.coarse.size + sum(d.size for d in pyr.stored) == c.size
         report = reconstruction_stability_experiment(mask, pyr, perturbation, 6, seed=8)
         k_sub = report.constants["sup_norm"]
         rng = np.random.default_rng(8)
@@ -579,10 +579,10 @@ def test_stability_reports_equal_the_per_trial_loops(
         alpha, p=p, trials=trials, seed=seed, levels=levels, perturbation=perturbation,
         mode=mode, kernel=kernel,
     )
-    assert repr(report) == repr(StabilityReport("decomposition", "custom", dec_rows, constants))
+    assert repr(report) == repr(StabilityReport("decomposition", dec_rows, constants))
     report = reconstruction_stability_experiment(alpha, pyramid, perturbation, trials, seed=seed)
     expected = StabilityReport(
-        "reconstruction", "custom", rec_rows, {"sup_norm": k_sub, "perturbation": perturbation}
+        "reconstruction", rec_rows, {"sup_norm": k_sub, "perturbation": perturbation}
     )
     assert repr(report) == repr(expected)
 

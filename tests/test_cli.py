@@ -354,6 +354,9 @@ def test_config_file_applies(tmp_path, quadratic_mask, capsys):
 
 CUBIC = '{"offset": -2, "num": [1, 4, 6, 4, 1], "den": [8, 8, 8, 8, 8]}'
 PYRAMID = '{{"coarse": [{}, 1.0], "details": [[0.0, 0.0, 0.0, 0.0]], "levels": {}}}'
+PACKED = '{{"coarse": [0.5, 1.0], "details": [[0.0, 0.0]], "levels": 1, "packed": {}}}'
+KERNEL = ('{{"offset": 0, "coeffs": [1.0], "tol": 1e-9, "certificate": {{"kappa": 2.0, "s": 1, '
+          '"q": 0.25, "lambda": 0.5, "K": 3.5, "hypothesis_met": {}}}}}')
 
 
 @pytest.mark.parametrize(
@@ -397,6 +400,19 @@ PYRAMID = '{{"coarse": [{}, 1.0], "details": [[0.0, 0.0, 0.0, 0.0]], "levels": {
         ("analyze decay --levels 70 --mask {m}", {}, "levels 70 with base 2 ask for"),
         # 2**59 samples pass numpy's size check, but 4 EiB exceed any address space
         ("analyze decay --levels 58 --mask {m}", {}, "levels 58 with base 2 ask for"),
+        # numpy's generators refuse a negative seed with a traceback of their own
+        ("--seed -1 analyze stability --mode rec --mask {m}", {}, "seed must be >= 0, got -1"),
+        ("analyze stability --mode dec --seed -1 --mask {m}", {}, "seed must be >= 0, got -1"),
+        ("--config {c} analyze stability --mode rec --mask {m}", {"c": '{"seed": -1}'},
+         "seed must be >= 0, got -1"),
+        # a misspelt key would leave its default in force, silently
+        ("--config {c} analyze stability --mode dec --p 2 --mask {m}",
+         {"c": '{"guard_treshold": 1e-12}'}, "unknown key 'guard_treshold'; the keys are"),
+        # bool("false") is True, so a string must not pass for a boolean
+        ("decompose --signal {s} --mask {m} --levels 1 --mode kernel --kernel {k}",
+         {"k": KERNEL.format('"false"')}, "certificate field 'hypothesis_met' must be true or"),
+        ("reconstruct --pyramid {p} --mask {m}", {"p": PACKED.format('"false"')},
+         "pyramid field 'packed' must be true or false"),
     ],
     ids=[
         "malformed-json", "mask-without-offset", "config-type", "config-not-object",
@@ -406,6 +422,8 @@ PYRAMID = '{{"coarse": [{}, 1.0], "details": [[0.0, 0.0, 0.0, 0.0]], "levels": {
         "stability-dec-perturbation-negative", "stability-rec-perturbation-overflow",
         "stability-dec-trials",
         "stability-rec-trials", "decay-levels-too-many", "decay-levels-58",
+        "seed-negative", "seed-negative-subcommand", "config-seed-negative",
+        "config-unknown-key", "kernel-hypothesis-met-string", "pyramid-packed-string",
     ],
 )
 def test_malformed_input_is_a_validation_error(tmp_path, capsys, argv, files, message):

@@ -29,12 +29,10 @@ from evenrev import (
     even_inverse_spectral,
     generalized_binomial,
     make_mask,
-    min_evensymbol_dual,
-    min_evensymbol_primal,
+    min_even_symbol,
     norm_l1,
     norm_linf,
     one_norm_bound_C,
-    pseudo_spline_gamma_norm2,
     pseudo_spline_mask,
     upsample_mask,
 )
@@ -221,12 +219,12 @@ def test_spectral_rejects_nonreversible():
 
 
 def test_spectral_slow_decay_budget():
-    # min modulus 5e-7 at z = -1: summable inverse exists but needs far more
-    # than the granted budget, so the stabilisation loop must give up.
+    # min modulus 1e-6 at z = -1: summable inverse exists but needs far more
+    # than the 2**20-point grid, so the stabilisation loop must give up.
     eps = 1e-6
     mask = make_mask(0, [1.0, 0.0, 1.0 - eps])  # even part 1 + (1-eps) z
-    with pytest.raises(SlowDecayError):
-        even_inverse_spectral(mask, tol=1e-12, guard=1e-9, max_size=1 << 14)
+    with pytest.raises(SlowDecayError, match="did not stabilise below 1.0e-12 within 1048576"):
+        even_inverse_spectral(mask, tol=1e-12, guard=1e-9)
 
 
 def test_spectral_tol_below_rounding_floor_names_residual():
@@ -426,31 +424,39 @@ def test_certificate_unavailable_on_vanishing_symbol():
 # ---------------------------------------------------------------------------
 
 
+def gamma_norm2(n, nu):
+    """Spectral norm of the pseudo-spline even-inverse, ``1 / min |ev|``, as a float."""
+    return float(1 / min_even_symbol(n, nu))
+
+
 def test_gamma_norm2_values():
-    assert pseudo_spline_gamma_norm2(4, 0) == 2.0
-    assert pseudo_spline_gamma_norm2(6, 1) == 8.0 / 5.0
+    assert gamma_norm2(4, 0) == 2.0
+    assert gamma_norm2(6, 1) == 8.0 / 5.0
     for k in range(1, 6):
-        assert pseudo_spline_gamma_norm2(2 * k, k - 1) == 1.0
+        assert gamma_norm2(2 * k, k - 1) == 1.0
 
 
 def test_gamma_norm2_matches_sampled_min():
     for n, nu in [(3, 0), (5, 1), (6, 1), (7, 2)]:
-        closed = pseudo_spline_gamma_norm2(n, nu)
+        closed = gamma_norm2(n, nu)
         sampled = 1.0 / min_modulus_on_circle(even_part(pseudo_spline_mask(n, nu)))
         assert abs(closed - sampled) < 1e-9 * closed
 
 
 def test_min_evensymbol_primal_values():
-    assert min_evensymbol_primal(2, 0) == 0.5
-    assert min_evensymbol_primal(2, 1) == 1.0
-    assert min_evensymbol_primal(3, 1) == 5.0 / 8.0
+    # the order-2k primal mask: n = 2k
+    assert float(min_even_symbol(4, 0)) == 0.5
+    assert float(min_even_symbol(4, 1)) == 1.0
+    assert float(min_even_symbol(6, 1)) == 5.0 / 8.0
+    assert min_even_symbol(6, 1) == Fraction(5, 8)  # the exact rational, not its float
 
 
 def test_min_evensymbol_dual_values():
-    assert min_evensymbol_dual(1, 0) == 0.5
-    assert min_evensymbol_dual(2, 1) == 0.5625
+    # the order-(2k+1) dual mask: n = 2k + 1
+    assert float(min_even_symbol(3, 0)) == 0.5
+    assert float(min_even_symbol(5, 1)) == 0.5625
     with pytest.raises(ParameterError):
-        min_evensymbol_dual(2, 2)
+        min_even_symbol(5, 2)
 
 
 def test_one_norm_bound_values():
@@ -497,12 +503,12 @@ def _one_norm_bound_formula(k, nu):
 def test_closed_form_norms_match_their_separate_formulas():
     for n in range(2, 17):
         for nu in range(n // 2):
-            assert pseudo_spline_gamma_norm2(n, nu) == _gamma_norm2_formula(n, nu), (n, nu)
+            assert gamma_norm2(n, nu) == _gamma_norm2_formula(n, nu), (n, nu)
             k = n // 2
             if n % 2:
-                assert min_evensymbol_dual(k, nu) == _min_dual_formula(k, nu), (n, nu)
+                assert float(min_even_symbol(2 * k + 1, nu)) == _min_dual_formula(k, nu), (n, nu)
                 continue
-            assert min_evensymbol_primal(k, nu) == _min_primal_formula(k, nu), (n, nu)
+            assert float(min_even_symbol(2 * k, nu)) == _min_primal_formula(k, nu), (n, nu)
             if k >= 2:
                 assert one_norm_bound_C(k, nu) == _one_norm_bound_formula(k, nu), (n, nu)
 

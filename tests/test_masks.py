@@ -6,7 +6,6 @@ import pytest
 
 from evenrev import (
     ParameterError,
-    PseudoSplineParams,
     bspline_mask,
     catalog,
     dd_mask,
@@ -18,7 +17,7 @@ from evenrev import (
     odd_part,
     pseudo_spline_mask,
 )
-from evenrev.inverse import min_evensymbol_primal
+from evenrev.inverse import min_even_symbol
 
 
 def test_bspline_order3():
@@ -93,8 +92,11 @@ def test_pseudo_spline_param_validation():
     with pytest.raises(ParameterError):
         pseudo_spline_mask(4, 2)
     with pytest.raises(ParameterError):
-        PseudoSplineParams(6, -1)
-    PseudoSplineParams(6, 2)  # boundary value is fine
+        pseudo_spline_mask(6, -1)
+    with pytest.raises(ParameterError):
+        min_even_symbol(6, -1)  # the closed form checks the pair as the mask does
+    pseudo_spline_mask(6, 2)  # boundary value is fine
+    min_even_symbol(6, 2)
 
 
 def test_is_interpolatory_examples():
@@ -140,7 +142,7 @@ def test_primal_minimum_formulas_agree():
             direct = F(2) ** (1 - k) * sum(
                 generalized_binomial(k - 1 + j, j) * F(1, 2 ** j) for j in range(nu + 1)
             )
-            assert float(direct) == min_evensymbol_primal(k, nu)
+            assert float(direct) == float(min_even_symbol(2 * k, nu))
 
 
 def test_catalog_contents():

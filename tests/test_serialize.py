@@ -200,6 +200,9 @@ def _pyramid_obj(**changes):
         ({"levels": "3"}, "field 'levels' must be an integer"),
         ({"coarse": ["a", 1.0, 2.0, 3.0]}, "coarse must be a list of numbers"),
         ({"details": {"1": []}}, "details must be a list"),
+        # bool("false") is True: a string must not pass for a boolean
+        ({"packed": "false"}, "pyramid field 'packed' must be true or false"),
+        ({"packed": 1}, "pyramid field 'packed' must be true or false"),
     ],
 )
 def test_pyramid_obj_validation(changes, message):
@@ -227,6 +230,10 @@ def test_pyramid_obj_missing_field_and_packed_length():
         ({"tol": -1e-9}, "tol must be >= 0"),
         ({"offset": 1.5}, "field 'offset' must be an integer"),
         ({"coeffs": []}, "at least one coefficient"),
+        # a hand-edited "false" must not claim a proven decay bound
+        ({"certificate": {"kappa": 2.0, "s": 1, "q": 0.25, "lambda": 0.5, "K": 3.5,
+                          "hypothesis_met": "false"}},
+         "certificate field 'hypothesis_met' must be true or false"),
     ],
 )
 def test_kernel_obj_validation(changes, message):
@@ -234,6 +241,17 @@ def test_kernel_obj_validation(changes, message):
     obj.update(changes)
     with pytest.raises(ParameterError, match=message):
         kernel_from_obj(obj)
+
+
+def test_absent_booleans_keep_their_defaults():
+    # files written before either field existed still load as they did
+    cert = DecayCertificate(2.0, 1, 0.25, 0.5, 3.5, False)
+    kernel = kernel_to_obj(Kernel(0, np.array([1.0]), 0.0, "custom", cert))
+    del kernel["certificate"]["hypothesis_met"]
+    assert kernel_from_obj(kernel).certificate.hypothesis_met is True
+    obj = _pyramid_obj()
+    del obj["packed"]
+    assert [d.size for d in pyramid_from_obj(obj).stored] == [8, 16, 32]  # full length
 
 
 def test_certificate_obj_missing_field():

@@ -688,11 +688,11 @@ def test_pyramid_shape_validation():
         Pyramid(np.zeros(4), (np.zeros(9),))
     pyr = Pyramid(np.zeros(4), (np.zeros(8), np.zeros(16)))
     assert pyr.levels == 2
-    assert pyr.fine_length == 16
+    assert pyr.details[-1].size == 16
     # a batch needs the coarse data's leading shape in every detail
     with pytest.raises(ShapeError, match=r"has shape \(3, 8\), expected \(2, 8\)"):
         Pyramid(np.zeros((2, 4)), (np.zeros((3, 8)),))
-    assert Pyramid(np.zeros((2, 4)), (np.zeros((2, 8)),)).fine_length == 8
+    assert Pyramid(np.zeros((2, 4)), (np.zeros((2, 8)),)).details[-1].shape[-1] == 8
 
 
 def test_pyramid_is_immutable():
