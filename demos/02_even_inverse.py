@@ -1,10 +1,12 @@
 """Computing and certifying the even-inverse filter.
 
-The quadratic spline has the one-sided geometric inverse (4/3) (-1/3)^k and
-the cubic spline the symmetric inverse sqrt(2) (-(3-2 sqrt 2))^|k|.  The
-spectral route (sampling 1/ev at roots of unity and transforming back) must
-reproduce both to machine precision, and the decay certificate pins the
-cubic coefficients exactly.
+The even part ev of a mask is a Laurent polynomial; factored at its roots it
+is C z**m times one factor (1 - rho/z) per root inside the circle and one
+(1 - z/R) per root outside, so 1/ev is a causal geometric series times an
+anticausal one.  The quadratic spline has the one root -3, which gives the
+one-sided inverse (4/3) (-1/3)^k; the cubic spline has the roots
+-3 -+ 2 sqrt 2, which give the symmetric inverse sqrt(2) (-(3-2 sqrt 2))^|k|.
+The decay certificate pins the cubic coefficients exactly.
 """
 
 import math
@@ -14,9 +16,8 @@ import numpy as np
 from evenrev import (
     bspline_mask,
     decay_certificate,
-    even_inverse_closed_cubic,
-    even_inverse_closed_quadratic,
     even_inverse_spectral,
+    even_part,
     norm_l1,
     norm_linf,
     pseudo_spline_mask,
@@ -26,25 +27,36 @@ from evenrev.inverse import inverse_residual_l1
 quad = bspline_mask(3)
 cubic = bspline_mask(4)
 
-print("Quadratic spline: spectral inversion vs closed form")
-spectral = even_inverse_spectral(quad, tol=1e-12)
-closed = even_inverse_closed_quadratic(30)
-print(f"{'k':>3} {'spectral':>22} {'closed':>22}")
-for k in range(6):
-    print(f"{k:>3} {spectral.coeff(k):22.16f} {closed.coeff(k):22.16f}")
-print(f"one norm {norm_l1(spectral):.12f} (limit 2), sup norm {norm_linf(spectral):.12f} (4/3)")
-print(f"residual ||g * ev - delta||_1: spectral {inverse_residual_l1(quad, spectral):.2e}, "
-      f"closed {inverse_residual_l1(quad, closed):.2e}")
 
-print("\nCubic spline: symmetric kernel with ratio -(3 - 2 sqrt 2) per step")
+def roots(mask):
+    """Roots of the even symbol, as a polynomial in z."""
+    return np.roots(even_part(mask).floats[::-1])
+
+
+print(f"Quadratic spline: ev(z) = (3 + z)/4, root {roots(quad)[0]:.16f}")
+kern = even_inverse_spectral(quad, tol=1e-12)
+print(f"{'k':>3} {'kernel':>22} {'(4/3)(-1/3)^k':>22}")
+for k in range(6):
+    print(f"{k:>3} {kern.coeff(k):22.16f} {(4.0 / 3.0) * (-1.0 / 3.0) ** k:22.16f}")
+index = np.arange(len(kern.coeffs))
+worst = np.max(np.abs(kern.floats - (4.0 / 3.0) * (-1.0 / 3.0) ** index))
+print(f"{len(kern.coeffs)} coefficients, all at k >= 0, largest gap to the closed form {worst:.1e}")
+print(f"one norm {norm_l1(kern):.12f} (limit 2), sup norm {norm_linf(kern):.12f} (4/3)")
+print(f"residual ||g * ev - delta||_1 = {inverse_residual_l1(quad, kern):.2e} (tol 1e-12)")
+
+print("\nCubic spline: ev(z) = (1/z + 6 + z)/8, roots",
+      ", ".join(f"{r:.16f}" for r in roots(cubic)))
+print(f"-3 - 2 sqrt 2 = {-3 - 2 * math.sqrt(2):.16f}, -3 + 2 sqrt 2 = {-3 + 2 * math.sqrt(2):.16f}")
 spec_c = even_inverse_spectral(cubic, tol=1e-12)
-closed_c = even_inverse_closed_cubic(30)
 for k in range(4):
-    print(f"{k:>3} {spec_c.coeff(k):22.16f} {closed_c.coeff(k):22.16f}")
+    print(f"{k:>3} {spec_c.coeff(k):22.16f} {math.sqrt(2) * (-(3 - 2 * math.sqrt(2))) ** k:22.16f}")
+index = spec_c.offset + np.arange(len(spec_c.coeffs))
+worst = np.max(np.abs(spec_c.floats - math.sqrt(2) * (-(3 - 2 * math.sqrt(2))) ** np.abs(index)))
+print(f"{len(spec_c.coeffs)} coefficients, |k| <= {-spec_c.offset}, "
+      f"largest gap to the closed form {worst:.1e}")
 print(f"measured ratio {abs(spec_c.coeff(1)) / spec_c.coeff(0):.16f}")
 print(f"3 - 2 sqrt 2 = {3 - 2 * math.sqrt(2):.16f}")
-print(f"residual ||g * ev - delta||_1: spectral {inverse_residual_l1(cubic, spec_c):.2e}, "
-      f"closed {inverse_residual_l1(cubic, closed_c):.2e}")
+print(f"residual ||g * ev - delta||_1 = {inverse_residual_l1(cubic, spec_c):.2e} (tol 1e-12)")
 
 print("\nDecay certificate for the cubic (real positive even symbol):")
 cert = decay_certificate(cubic)
@@ -56,9 +68,9 @@ print("\nThe quadratic even symbol is complex on the circle, so the same")
 print("certificate is only nominal there (hypothesis_met=False):")
 cert_q = decay_certificate(quad)
 print(f"kappa={cert_q.kappa:.3f} lambda={cert_q.lam:.6f} hypothesis_met={cert_q.hypothesis_met}")
-print(f"actual quadratic decay ratio: {abs(closed.coeff(2) / closed.coeff(1)):.6f} (= 1/3 > lambda)")
+print(f"actual quadratic decay ratio: {abs(kern.coeff(2) / kern.coeff(1)):.6f} (= 1/3 > lambda)")
 
-print("\nInterpolatory masks invert to the pure impulse:")
+print("\nInterpolatory masks have a constant even part, no roots, and invert to the pure impulse:")
 dd = even_inverse_spectral(pseudo_spline_mask(4, 1))
 residual = inverse_residual_l1(pseudo_spline_mask(4, 1), dd)
 print(f"kernel coefficients: {np.asarray(dd.coeffs)}, residual ||g * ev - delta||_1 {residual:.2e}")

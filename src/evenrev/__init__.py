@@ -55,9 +55,6 @@ from .inverse import (
     check_even_reversible,
     cubic_series_constants,
     decay_certificate,
-    even_inverse,
-    even_inverse_closed_cubic,
-    even_inverse_closed_quadratic,
     even_inverse_spectral,
     min_even_symbol,
     one_norm_bound_C,

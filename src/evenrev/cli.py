@@ -17,7 +17,7 @@ import numpy as np
 
 from . import analysis, selftest, serialize
 from .errors import EvenRevError, ParameterError
-from .inverse import even_inverse
+from .inverse import even_inverse_spectral
 from .laurent import CIRCLE_SAMPLES, GUARD, INVERSE_TOL
 from .masks import bspline_mask, dd_mask, pseudo_spline_mask
 from .transform import _analysis, _pyramid, decompose, reconstruct, threshold_details
@@ -140,7 +140,7 @@ def _cmd_mask(args, cfg: RunConfig) -> int:
 
 def _cmd_invert(args, cfg: RunConfig) -> int:
     mask = _load_mask(args.mask)
-    kernel = _invert(mask, cfg, args.method, args.tol)
+    kernel = _invert(mask, cfg, args.tol)
     _emit(serialize.kernel_to_obj(kernel), args.out)
     return 0
 
@@ -154,12 +154,10 @@ def _resolve_kernel(args, mask, cfg: RunConfig):
     return "kernel", _invert(mask, cfg)
 
 
-def _invert(mask, cfg: RunConfig, method: str = "auto", tol: float | None = None):
-    """:func:`even_inverse` at the configured guard, circle grid and (unless ``tol``) tolerance."""
-    return even_inverse(
-        mask, tol=cfg.inverse_tol if tol is None else tol, method=method,
-        guard=cfg.guard_threshold, samples=cfg.circle_samples,
-    )
+def _invert(mask, cfg: RunConfig, tol: float | None = None):
+    """The even-inverse at the configured guard, circle grid and (unless ``tol``) tolerance."""
+    return even_inverse_spectral(mask, cfg.inverse_tol if tol is None else tol,
+                                 cfg.guard_threshold, cfg.circle_samples)
 
 
 def _cmd_decompose(args, cfg: RunConfig) -> int:
@@ -203,14 +201,14 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
         mode, kernel = _resolve_kernel(args, mask, cfg)
         report = analysis.decay_report(
             args.fn, args.levels, args.base, mask, mode=mode,
-            kernel=_invert(mask, cfg, "spectral") if kernel is None else kernel, guard=guard,
+            kernel=_invert(mask, cfg) if kernel is None else kernel, guard=guard,
         )
         return _emit_rows(report, args)
     if args.analysis == "stability":
         if args.stability_mode == "dec":
             report = analysis.decomposition_stability_experiment(
                 mask, p=args.p, trials=args.trials, seed=cfg.seed, perturbation=args.perturbation,
-                kernel=_invert(mask, cfg, "spectral") if args.p == "inf" else None, guard=guard,
+                kernel=_invert(mask, cfg) if args.p == "inf" else None, guard=guard,
                 samples=cfg.circle_samples,
             )
         else:
@@ -266,7 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert", help="compute the even-inverse kernel of a mask")
     p.add_argument("--mask", required=True)
     p.add_argument("--tol", type=float)
-    p.add_argument("--method", choices=("auto", "spectral", "closed"), default="auto")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_invert)
 

@@ -30,7 +30,7 @@ class DecimationSingularError(EvenRevError, ArithmeticError):
 
 
 class SlowDecayError(EvenRevError, ArithmeticError):
-    """Spectral inversion did not stabilise within the size budget."""
+    """An even-inverse needs more than 2**20 coefficients on one side, or cannot reach its tol."""
 
 
 class CertificateUnavailableError(EvenRevError, ArithmeticError):

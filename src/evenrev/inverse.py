@@ -2,12 +2,12 @@
 
 A mask whose even symbol never vanishes on the unit circle admits an inverse
 filter ``g`` with ``ev(z) * g(z) = 1`` there; convolving with ``g`` after
-downsampling undoes the even half of the upscaling step.  This module
-computes such kernels three ways -- closed forms for the quadratic and cubic
-spline masks, and spectral sampling of ``1/ev`` for everything else -- and
-certifies the exponential decay of their coefficients where a certificate is
-available.  A :class:`Kernel` is a :class:`~evenrev.laurent.Mask`, so the
-mask operators and norms of :mod:`evenrev.laurent` apply to it unchanged.
+downsampling undoes the even half of the upscaling step.  This module computes
+such kernels one way, factoring ``ev`` at its roots into a causal geometric
+series times an anticausal one (the paper's quadratic and cubic closed forms have
+the roots -3 and -3 -+ 2 sqrt 2), and certifies the exponential decay of their
+coefficients where a certificate is available.  A :class:`Kernel` is a
+:class:`~evenrev.laurent.Mask`, so :mod:`evenrev.laurent` applies to it unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     SlowDecayError,
 )
 from .laurent import CIRCLE_SAMPLES, GUARD, INVERSE_TOL, Mask, norm_l1, symbol_on_circle
-from .masks import _check_pseudo_spline, bspline_mask, generalized_binomial
+from .masks import _check_pseudo_spline, generalized_binomial
 
 __all__ = [
     "SQRT2_RATIO",
@@ -34,11 +34,8 @@ __all__ = [
     "Kernel",
     "EvenReversibility",
     "check_even_reversible",
-    "even_inverse_closed_quadratic",
-    "even_inverse_closed_cubic",
     "cubic_series_constants",
     "even_inverse_spectral",
-    "even_inverse",
     "decay_certificate",
     "min_even_symbol",
     "one_norm_bound_C",
@@ -48,8 +45,8 @@ __all__ = [
 #: Decay ratio 3 - 2*sqrt(2) of the cubic spline even-inverse.
 SQRT2_RATIO = 3.0 - 2.0 * math.sqrt(2.0)
 
-#: Largest grid the spectral inverter doubles to before it gives up.
-_MAX_GRID = 1 << 20
+#: Most coefficients either side of an inverse kernel may take.
+_MAX_TAPS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -77,12 +74,11 @@ class DecayCertificate:
 
 @dataclass(frozen=True)
 class Kernel(Mask):
-    """Truncated inverse filter: a float :class:`Mask` with a certified budget.
+    """Truncated inverse filter: a float :class:`Mask` with a verified budget.
 
-    ``coeffs[i]`` is the coefficient at index ``offset + i``.  The omitted
-    tail has absolute mass at most ``tol`` and the residual
-    ``||g * ev - delta||_1`` of the generating mask stays below ``tol``
-    (up to float rounding when ``tol`` is below machine precision).
+    ``coeffs[i]`` is the coefficient at index ``offset + i``.  The omitted tail has
+    mass at most ``tol / max(1, ||ev||_1)``, and the residual ``||g * ev - delta||_1``
+    of the generating mask was measured to be at most ``tol``.
     """
 
     tol: float
@@ -124,52 +120,6 @@ def check_even_reversible(alpha: Mask) -> EvenReversibility:
     return _even_symbol(alpha, CIRCLE_SAMPLES, GUARD)[2]
 
 
-# ---------------------------------------------------------------------------
-# closed forms
-# ---------------------------------------------------------------------------
-
-
-def _quadratic_tail(count: int) -> float:
-    """Mass ``2 * 3**-count`` of the quadratic inverse beyond its first ``count`` coefficients."""
-    return 2.0 * 3.0 ** (-count)
-
-
-def _cubic_tail(halfwidth: int) -> float:
-    """Mass of the cubic inverse beyond ``|k| <= halfwidth``: two geometric tails."""
-    return 2.0 * math.sqrt(2.0) * SQRT2_RATIO ** (halfwidth + 1) / (1.0 - SQRT2_RATIO)
-
-
-def _shortest(tail, length: int, tol: float) -> int:
-    """Smallest length from ``length`` on whose dropped ``tail(length)`` is within ``tol``."""
-    while tail(length) > tol:
-        length += 1
-    return length
-
-
-def even_inverse_closed_quadratic(count: int) -> Kernel:
-    """One-sided inverse of the quadratic spline even part ``(3 + z)/4``.
-
-    Coefficients ``(4/3) * (-1/3)**k`` for ``k = 0 .. count-1``.
-    """
-    if count < 1:
-        raise ParameterError("count must be >= 1")
-    k = np.arange(count)
-    coeffs = (4.0 / 3.0) * (-1.0 / 3.0) ** k
-    return Kernel(0, coeffs, _quadratic_tail(count), "closed_quadratic")
-
-
-def even_inverse_closed_cubic(halfwidth: int) -> Kernel:
-    """Symmetric inverse of the cubic spline even part ``(1/z + 6 + z)/8``.
-
-    Coefficients ``sqrt(2) * (-(3 - 2*sqrt(2)))**|k|`` for ``|k| <= halfwidth``.
-    """
-    if halfwidth < 0:
-        raise ParameterError("halfwidth must be >= 0")
-    k = np.arange(-halfwidth, halfwidth + 1)
-    coeffs = math.sqrt(2.0) * (-SQRT2_RATIO) ** np.abs(k)
-    return Kernel(-halfwidth, coeffs, _cubic_tail(halfwidth), "closed_cubic")
-
-
 def cubic_series_constants(kmax: int):
     """Series sums behind the cubic closed form, by direct summation.
 
@@ -198,14 +148,45 @@ def cubic_series_constants(kmax: int):
 
 
 # ---------------------------------------------------------------------------
-# spectral inversion
+# inversion by spectral factorization
 # ---------------------------------------------------------------------------
 
 
-def _periodized_inverse(ev: Mask, size: int) -> np.ndarray:
-    """Inverse DFT of ``1/ev`` on ``size`` roots of unity, centred on index 0."""
-    g = np.fft.irfft(1.0 / symbol_on_circle(ev, size, half=True), size)
-    return np.fft.fftshift(g)  # ascending signed indices -size/2 .. size/2 - 1
+def _geometric(x: np.ndarray, ratios) -> np.ndarray:
+    """``x`` times ``prod 1/(1 - r z)``, in place, to ``x.size`` coefficients: ``1/(1 - r z) =
+    (1 + r z)(1 + r**2 z**2)(1 + r**4 z**4) ...``, so a repeated root is just applied twice."""
+    for r in ratios:
+        step = 1
+        while step < x.size and abs(r) > 2.0**-60:  # past that, r**step adds below rounding
+            x[step:] += r * x[:-step]
+            r, step = r * r, 2 * step
+    return x
+
+
+def _side_length(near: np.ndarray, far: np.ndarray, log_target: float) -> int:
+    """Coefficients one side keeps, or :class:`SlowDecayError` past ``_MAX_TAPS``.  ``near``
+    and ``far`` are the ratio moduli of this side's series and the other's; with ``h`` the
+    coefficients of ``prod 1/(1 - t z)`` over ``near`` (a Polya frequency sequence, so
+    ``r_N = h_{N+1}/h_N`` never grows), the side drops past ``N`` at most ``h_N / (1 - r_N)
+    * prod 1/(1 - f r_N) / |C|``.  ``log_target`` is log(share * |C|)."""
+    if near.size == 0:
+        return 1
+    base = float(near.max())
+    if base < 1.0:  # h_N >= base**N, r_N >= base and the product >= 1 give a first size
+        size = 2 * max(8, math.ceil((log_target + math.log1p(-base)) / math.log(base)))
+        while size <= 2 * _MAX_TAPS:
+            h = _geometric(np.eye(1, size + 1)[0], near / base)  # h_N / base**N
+            ratio = base * h[1:] / h[:-1]
+            with np.errstate(divide="ignore", invalid="ignore"):  # r_N >= 1 early on
+                log_bound = np.log(h[:-1] / (1.0 - ratio)) + np.arange(size) * math.log(base)
+                for f in far:
+                    log_bound -= np.log1p(-f * ratio)
+            hits = np.flatnonzero(log_bound[1:] <= log_target)
+            if hits.size and hits[0] < _MAX_TAPS:
+                return int(hits[0]) + 1
+            size *= 2
+    raise SlowDecayError(
+        f"decay base {base:.10g} needs more than {_MAX_TAPS} coefficients on one side")
 
 
 def even_inverse_spectral(
@@ -214,18 +195,16 @@ def even_inverse_spectral(
     guard: float = GUARD,
     samples: int = CIRCLE_SAMPLES,
 ) -> Kernel:
-    """Invert the even part of ``alpha`` by sampling ``1/ev`` at roots of unity.
+    """Invert the even part of ``alpha`` by factoring it at its roots.
 
-    The residual ``||g * ev - delta||_1`` multiplies a coefficient error by up
-    to ``||ev||_1``, so the budget is ``b = tol / max(1, ||ev||_1)``.  The grid
-    is doubled until successive periodizations agree to ``b/4`` and the edge
-    coefficients fall below ``b/4``; the result is trimmed so the dropped mass
-    stays below ``b/4`` and the residual is verified to be below ``tol``.
-
-    Raises :class:`EvenReversibilityError` when the even symbol (nearly)
-    vanishes, and :class:`SlowDecayError` when a grid of 2**20 points is
-    reached before stabilisation or when the stabilised residual exceeds
-    ``tol`` (``tol`` near the rounding floor).
+    With ``a`` roots ``rho`` inside the circle and the roots ``R`` outside, ``1/ev`` is
+    ``z**-(o+a)/C`` times the anticausal ``prod 1/(1 - rho/z)`` and the causal
+    ``prod 1/(1 - z/R)``.  A tail bound on the roots against ``tol / max(1, ||ev||_1)``
+    (the residual multiplies the dropped mass by up to ``||ev||_1``) fixes each side's
+    length; the causal series runs to twice its cut, so kept coefficients are exact to
+    rounding, and one Newton step ``g + g * (delta - ev * g)`` mends the roots' rounding.
+    Raises :class:`EvenReversibilityError` when ``|ev|`` reaches ``guard`` on the grid, and
+    :class:`SlowDecayError` past 2**20 coefficients a side or a residual above ``tol``.
     """
     if not 0 < tol < math.inf:
         raise ParameterError(f"tol must be positive and finite, got {tol!r}")
@@ -235,83 +214,36 @@ def even_inverse_spectral(
             f"even symbol modulus {rev.min_modulus:.3e} at z={rev.witness:.6f} "
             f"is below the guard {guard:.1e}"
         )
-    # The periodized inverse is centred on index 0, so invert ev moved to the
-    # centre of its support there and move the kernel back by the same amount.
-    centre = (2 * ev.offset + len(ev.coeffs) - 1) // 2
-    centred = ev.shift(-centre)
-    size = 64
-    while 4 * len(ev.coeffs) > size:
-        size *= 2
-    prev = _periodized_inverse(centred, size)
-    budget = tol / max(1.0, norm_l1(ev))
-    while size < _MAX_GRID:
-        size *= 2
-        curr = _periodized_inverse(centred, size)
-        half = prev.size // 2
-        lo = size // 2 - half  # position of prev's index -half inside curr
-        drift = float(np.max(np.abs(curr[lo : lo + prev.size] - prev)))
-        edge = float(
-            max(np.max(np.abs(curr[: size // 4])), np.max(np.abs(curr[3 * size // 4 :])))
-        )
-        if drift < budget / 4.0 and edge < budget / 4.0:
-            trimmed = _trim_kernel(curr, -(size // 2) - centre, budget)
-            residual = inverse_residual_l1(alpha, trimmed)
-            if residual > tol:
-                raise SlowDecayError(
-                    f"inverse stabilised at {size} samples with residual "
-                    f"||g*ev - delta||_1 = {residual:.3e} above tol {tol:.1e}"
-                )
-            cert = _certificate(ev, vals, rev.min_modulus, guard)
-            return Kernel(trimmed.offset, trimmed.coeffs, tol, "spectral",
-                          cert if cert.hypothesis_met else None)
-        prev = curr
-    raise SlowDecayError(
-        f"inverse coefficients did not stabilise below {tol:.1e} within {_MAX_GRID} samples"
-    )
-
-
-def _trim_kernel(values: np.ndarray, offset: int, tol: float) -> Mask:
-    """Drop edge coefficients while the discarded mass stays within budget.
-
-    Each edge drops the longest run whose running sum of magnitudes stays
-    within ``tol/8``, keeping at least one coefficient; ``np.cumsum`` adds in
-    order, so the sums are those of a loop from that edge.
-    """
-    budget = tol / 8.0
-    mags = np.abs(values)
-    lo = min(int(np.searchsorted(np.cumsum(mags), budget, "right")), values.size - 1)
-    dropped = int(np.searchsorted(np.cumsum(mags[:lo:-1]), budget, "right"))
-    return Mask(offset + lo, values[lo : values.size - dropped])
-
-
-def even_inverse(
-    alpha: Mask,
-    tol: float = INVERSE_TOL,
-    method: str = "auto",
-    guard: float = GUARD,
-    samples: int = CIRCLE_SAMPLES,
-) -> Kernel:
-    """Dispatch between the closed forms and the spectral inverter.
-
-    ``method="closed"`` serves only the quadratic and cubic spline masks;
-    ``"auto"`` picks the closed form when the mask matches one of them and
-    the spectral route otherwise.  A closed form is as long as the shortest
-    one whose dropped tail is within ``tol``.
-    """
-    if method not in ("auto", "closed", "spectral"):
-        raise ParameterError(f"unknown method {method!r}")
-    if not 0 < tol < math.inf:
-        raise ParameterError(f"tol must be positive and finite, got {tol!r}")
-    if method == "spectral":
-        return even_inverse_spectral(alpha, tol=tol, guard=guard, samples=samples)
-    f = alpha.astype_float()
-    if f == bspline_mask(3).astype_float():
-        return even_inverse_closed_quadratic(_shortest(_quadratic_tail, 1, tol))
-    if f == bspline_mask(4).astype_float():
-        return even_inverse_closed_cubic(_shortest(_cubic_tail, 0, tol))
-    if method == "closed":
-        raise ParameterError("closed-form inverses exist only for the quadratic and cubic spline masks")
-    return even_inverse_spectral(alpha, tol=tol, guard=guard, samples=samples)
+    e, l1 = ev.floats, norm_l1(ev)
+    big = np.flatnonzero(np.abs(e) > 2.0**-52 * l1)  # a leading 1e-222 makes np.roots lose
+    core = e[big[0] : big[-1] + 1]  # the other roots; Newton and the residual use all of ev
+    roots = np.roots(core[::-1])
+    inner = np.abs(roots) < 1.0
+    rho, ratios = roots[inner], 1.0 / roots[~inner]
+    shift = int(big[0]) + rho.size  # ev ~ C z**(o + shift) prod(1 - rho/z) prod(1 - z/R)
+    scale = float(np.real(core[-1] * np.prod(-roots[~inner])))  # C
+    sides = max(1, (rho.size > 0) + (ratios.size > 0))  # each nonempty side drops its share
+    log_target = math.log(tol) + math.log(abs(scale) / max(1.0, l1) / sides)
+    n_in = _side_length(np.abs(rho), np.abs(ratios), log_target)
+    n_out = _side_length(np.abs(ratios), np.abs(rho), log_target)
+    x = np.zeros(n_in + 2 * n_out - 1, roots.dtype)
+    x[n_in - 1] = 1.0 / scale
+    _geometric(x[n_in - 1 :], ratios)
+    _geometric(x[::-1], rho)
+    g = np.real(x[: n_in + n_out - 1])
+    p = shift + n_in - 1  # one Newton step on g's support; z**0 of ev * g sits at p
+    r = -np.convolve(g, e)
+    r[p] += 1.0
+    n = 1 << (g.size + r.size - 2).bit_length()  # a power of two past both supports
+    g = g + np.fft.irfft(np.fft.rfft(g, n) * np.fft.rfft(r, n), n)[p : p + g.size]
+    cert = _certificate(ev, vals, rev.min_modulus, guard)
+    kernel = Kernel(-(ev.offset + shift) - (n_in - 1), g, tol, "spectral",
+                    cert if cert.hypothesis_met else None)
+    residual = inverse_residual_l1(alpha, kernel)
+    if residual > tol:
+        raise SlowDecayError(f"inverse of {len(kernel.coeffs)} coefficients has residual "
+                             f"||g*ev - delta||_1 = {residual:.3e} above tol {tol:.1e}")
+    return kernel
 
 
 # ---------------------------------------------------------------------------

@@ -54,19 +54,23 @@ def test_invert_quadratic(quadratic_mask, tmp_path):
     obj = load_json(str(out))
     assert obj["offset"] == 0
     assert abs(obj["coeffs"][0] - 4.0 / 3.0) < 1e-12
-    assert obj["source"] == "closed_quadratic"
+    assert obj["source"] == "spectral"
     assert obj["certificate"] is None  # asymmetric even part: bound not certified
 
 
-def test_invert_methods(quadratic_mask, tmp_path):
+def test_invert_methods(quadratic_mask, tmp_path, capsys):
+    # one inverter: --method is gone, and --tol reaches the kernel
     spectral = tmp_path / "spectral.json"
     assert run(
-        "invert", "--mask", str(quadratic_mask), "--method", "spectral",
-        "--tol", "1e-12", "--out", str(spectral),
+        "invert", "--mask", str(quadratic_mask), "--tol", "1e-12", "--out", str(spectral),
     ) == 0
     obj = load_json(str(spectral))
     assert obj["source"] == "spectral"
+    assert obj["tol"] == 1e-12
     assert abs(obj["coeffs"][-obj["offset"]] - 4.0 / 3.0) < 1e-12
+    with pytest.raises(SystemExit):
+        run("invert", "--mask", str(quadratic_mask), "--method", "spectral")
+    assert "unrecognized arguments: --method" in capsys.readouterr().err
 
 
 def test_decompose_reconstruct_roundtrip(quadratic_mask, tmp_path):
@@ -277,11 +281,11 @@ def test_config_guard_threshold_reaches_analyze(tmp_path, capsys):
         assert run("--config", str(cfg), *runs[name]) == 0, name
     # dec and decay take the bounds' constants from a spectral kernel; with the
     # guard passed, its inversion is what stops them: a root 1e-10 from the
-    # circle decays too slowly for any grid up to 2**20
+    # circle decays too slowly for any kernel up to 2**20 coefficients a side
     for name in ("dec", "decay"):
         assert run("--config", str(cfg), *runs[name]) == 1, name
         err = capsys.readouterr().err
-        assert "guard" not in err and "did not stabilise" in err, (name, err)
+        assert "guard" not in err and "needs more than 1048576 coefficients" in err, (name, err)
 
 
 def test_config_guard_threshold_lets_l2_decomposition_stability_run(tmp_path, capsys):
@@ -296,7 +300,7 @@ def test_config_guard_threshold_lets_l2_decomposition_stability_run(tmp_path, ca
     report = load_json(str(tmp_path / "dec.json"))
     assert report["constants"]["p"] == "2" and len(report["trials"]) == 3
     assert run(*argv, "--p", "inf") == 1
-    assert "did not stabilise" in capsys.readouterr().err
+    assert "needs more than 1048576 coefficients" in capsys.readouterr().err
 
 
 def test_samples_reach_analyze_stability_p2(tmp_path):
@@ -613,8 +617,7 @@ def test_far_offsets_run_or_fail_with_one_line(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     # the far mask's kernel is the near one moved by minus the even part's shift
     near_k, far_k = tmp_path / "near_k.json", tmp_path / "far_k.json"
-    assert run("invert", "--mask", str(near_mask), "--method", "spectral",
-               "--out", str(near_k)) == 0
+    assert run("invert", "--mask", str(near_mask), "--out", str(near_k)) == 0
     assert run("invert", "--mask", str(far_mask), "--out", str(far_k)) == 0
     near, far = load_json(str(near_k)), load_json(str(far_k))
     assert far["offset"] == near["offset"] - (FAR + 2) // 2

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -22,10 +23,7 @@ from evenrev import (
     cubic_series_constants,
     dd_mask,
     decay_certificate,
-    delta,
-    even_inverse,
-    even_inverse_closed_cubic,
-    even_inverse_closed_quadratic,
+    decompose,
     even_inverse_spectral,
     generalized_binomial,
     make_mask,
@@ -34,12 +32,46 @@ from evenrev import (
     norm_linf,
     one_norm_bound_C,
     pseudo_spline_mask,
+    reconstruct,
     upsample_mask,
 )
-from evenrev.inverse import SQRT2_RATIO, _periodized_inverse, _trim_kernel, inverse_residual_l1
+from evenrev.inverse import SQRT2_RATIO, inverse_residual_l1
 from evenrev.laurent import Mask, even_part, min_modulus_on_circle, symbol_on_circle
 
 SQRT2 = math.sqrt(2.0)
+
+
+# The paper's closed forms, as oracles: the quadratic spline's even part (3 + z)/4
+# has the one root -3, the cubic's (1/z + 6 + z)/8 the roots -3 -+ 2 sqrt 2.
+
+
+def closed_quadratic(count):
+    """``(4/3) (-1/3)**k`` for ``k < count``; the dropped tail has mass ``2 * 3**-count``."""
+    return Mask(0, (4.0 / 3.0) * (-1.0 / 3.0) ** np.arange(count))
+
+
+def closed_cubic(halfwidth):
+    """``sqrt(2) (-(3 - 2 sqrt 2))**|k|`` for ``|k| <= halfwidth``."""
+    k = np.arange(-halfwidth, halfwidth + 1)
+    return Mask(-halfwidth, SQRT2 * (-SQRT2_RATIO) ** np.abs(k))
+
+
+def quadratic_tail(count):
+    return 2.0 * 3.0 ** (-count)
+
+
+def cubic_tail(halfwidth):
+    return 2.0 * SQRT2 * SQRT2_RATIO ** (halfwidth + 1) / (1.0 - SQRT2_RATIO)
+
+
+def periodized_inverse(ev, size=1 << 16):
+    """``irfft(1/ev)`` on ``size`` roots of unity: ``g_k`` at index ``k mod size``.
+
+    Its aliasing error is of the order of the decay base to the power ``size/2``.
+    """
+    folded = np.zeros(size)
+    np.add.at(folded, (ev.offset + np.arange(len(ev.coeffs))) % size, ev.floats)
+    return np.fft.irfft(1.0 / np.fft.rfft(folded), size)
 
 
 # ---------------------------------------------------------------------------
@@ -79,23 +111,23 @@ def test_check_even_reversible_zero_even_part():
 
 
 def test_closed_quadratic_values():
-    k = even_inverse_closed_quadratic(10)
+    k = closed_quadratic(10)
     assert abs(k.coeff(0) - 4.0 / 3.0) < 1e-15
     assert abs(k.coeff(1) + 4.0 / 9.0) < 1e-15
     assert abs(k.coeff(2) - 4.0 / 27.0) < 1e-15
-    assert k.tol == 2.0 * 3.0 ** -10
+    # the tail formula is the mass the first 10 coefficients leave out
+    assert abs(quadratic_tail(10) - (norm_l1(closed_quadratic(60)) - norm_l1(k))) < 1e-15
 
 
 def test_closed_quadratic_one_norm_limit():
-    assert abs(norm_l1(even_inverse_closed_quadratic(40)) - 2.0) < 1e-15
+    assert abs(norm_l1(closed_quadratic(40)) - 2.0) < 1e-15
 
 
 def test_kernels_are_masks():
     kernels = [
-        even_inverse_closed_quadratic(12),
-        even_inverse_closed_cubic(8),
+        even_inverse_spectral(bspline_mask(3)),
+        even_inverse_spectral(bspline_mask(4)),
         even_inverse_spectral(pseudo_spline_mask(6, 1)),
-        even_inverse(bspline_mask(4)),
     ]
     for k in kernels:
         assert isinstance(k, Mask), k.source
@@ -112,12 +144,12 @@ def test_kernel_one_norm_is_the_numpy_sum():
 
 def test_closed_quadratic_residual_within_tail():
     for count in (5, 12, 30):
-        k = even_inverse_closed_quadratic(count)
-        assert inverse_residual_l1(bspline_mask(3), k) <= k.tol + 1e-14
+        k = closed_quadratic(count)
+        assert inverse_residual_l1(bspline_mask(3), k) <= quadratic_tail(count) + 1e-14
 
 
 def test_closed_cubic_values():
-    k = even_inverse_closed_cubic(8)
+    k = closed_cubic(8)
     assert abs(k.coeff(0) - SQRT2) < 1e-15
     assert abs(k.coeff(1) + SQRT2 * SQRT2_RATIO) < 1e-15
     assert abs(k.coeff(-1) - k.coeff(1)) == 0.0
@@ -125,7 +157,7 @@ def test_closed_cubic_values():
 
 
 def test_closed_cubic_norms():
-    k = even_inverse_closed_cubic(40)
+    k = closed_cubic(40)
     assert abs(norm_l1(k) - 2.0) < 1e-12
     assert abs(norm_linf(k) - SQRT2) < 1e-15
 
@@ -133,13 +165,14 @@ def test_closed_cubic_norms():
 def test_closed_cubic_residual_within_tail():
     # the analytic tail bound plus float rounding of the measurement itself
     for halfwidth in (4, 10, 25):
-        k = even_inverse_closed_cubic(halfwidth)
-        assert inverse_residual_l1(bspline_mask(4), k) <= k.tol + 1e-14
+        k = closed_cubic(halfwidth)
+        assert inverse_residual_l1(bspline_mask(4), k) <= cubic_tail(halfwidth) + 1e-14
 
 
 def test_kernel_sum_near_one():
     # g(1) = 1 / ev(1) = 1 for normalized masks
-    for k in (even_inverse_closed_quadratic(30), even_inverse_closed_cubic(30)):
+    for order in (3, 4):
+        k = even_inverse_spectral(bspline_mask(order), tol=1e-10)
         assert abs(k.sum() - 1.0) < k.tol + 1e-14
 
 
@@ -163,7 +196,7 @@ def test_series_constants_recurrence():
 def test_series_constants_match_kernel():
     # 4/3 * a_k is the even-index kernel coefficient, 4/3 * b_k the odd one
     a, b = cubic_series_constants(5)
-    kern = even_inverse_closed_cubic(12)
+    kern = even_inverse_spectral(bspline_mask(4))
     for k in range(5):
         assert abs(4.0 / 3.0 * a[k] - kern.coeff(2 * k)) < 1e-13
         assert abs(4.0 / 3.0 * b[k] + kern.coeff(2 * k + 1)) < 1e-13
@@ -176,14 +209,14 @@ def test_series_constants_match_kernel():
 
 def test_spectral_matches_closed_quadratic():
     spectral = even_inverse_spectral(bspline_mask(3), tol=1e-12)
-    closed = even_inverse_closed_quadratic(40)
+    closed = closed_quadratic(40)
     for k in range(-10, 35):
         assert abs(spectral.coeff(k) - closed.coeff(k)) < 1e-12
 
 
 def test_spectral_matches_closed_cubic():
     spectral = even_inverse_spectral(bspline_mask(4), tol=1e-12)
-    closed = even_inverse_closed_cubic(40)
+    closed = closed_cubic(40)
     for k in range(-35, 36):
         assert abs(spectral.coeff(k) - closed.coeff(k)) < 1e-12
 
@@ -201,15 +234,17 @@ def test_spectral_residual_within_tol_for_catalog():
         assert abs(kern.sum() - 1.0) < 1e-11, name
 
 
+# min |ev| = 1 but ||ev||_1 = 32.75: the residual multiplies the dropped mass by up
+# to ||ev||_1, so a budget of tol alone left it 1.2 x tol
+ONE_NORM_MASK = Mask(-2, [-7.938034399268925, -0.06833396875827939, 16.876068798537847,
+                          1.0683339687582794, -7.938034399268925])
+
+
 @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
 def test_spectral_budget_scales_with_the_even_part_one_norm(tol):
-    # min |ev| = 1 but ||ev||_1 = 32.75: the residual multiplies the dropped mass
-    # by up to ||ev||_1, so a budget of tol alone left it 1.2 x tol
-    mask = Mask(-2, [-7.938034399268925, -0.06833396875827939, 16.876068798537847,
-                     1.0683339687582794, -7.938034399268925])
-    kern = even_inverse_spectral(mask, tol=tol)
+    kern = even_inverse_spectral(ONE_NORM_MASK, tol=tol)
     assert kern.tol == tol
-    assert inverse_residual_l1(mask, kern) <= tol
+    assert inverse_residual_l1(ONE_NORM_MASK, kern) <= tol
 
 
 def test_spectral_rejects_nonreversible():
@@ -219,86 +254,80 @@ def test_spectral_rejects_nonreversible():
 
 
 def test_spectral_slow_decay_budget():
-    # min modulus 1e-6 at z = -1: summable inverse exists but needs far more
-    # than the 2**20-point grid, so the stabilisation loop must give up.
+    # min modulus 1e-6 at z = -1: the root -1/(1 - 1e-6) leaves a summable inverse,
+    # but one that needs far more than 2**20 coefficients; the roots say so at once
     eps = 1e-6
     mask = make_mask(0, [1.0, 0.0, 1.0 - eps])  # even part 1 + (1-eps) z
-    with pytest.raises(SlowDecayError, match="did not stabilise below 1.0e-12 within 1048576"):
-        even_inverse_spectral(mask, tol=1e-12, guard=1e-9)
+    message = "decay base 0.999999 needs more than 1048576 coefficients on one side"
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(SlowDecayError, match=message):
+            even_inverse_spectral(mask, tol=1e-12, guard=1e-9)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.01
 
 
 def test_spectral_tol_below_rounding_floor_names_residual():
-    # The stabilised kernel keeps rounding noise, so ||g*ev - delta||_1 sits
-    # near 1e-14 and grows with the grid: stop at once and say why.
-    message = r"residual \|\|g\*ev - delta\|\|_1 = \d\.\d+e-1\d above tol 1\.0e-14"
+    # The kernel keeps rounding noise, so ||g*ev - delta||_1 cannot reach 1e-17:
+    # stop at once and say why.
+    message = r"residual \|\|g\*ev - delta\|\|_1 = \d\.\d+e-1\d above tol 1\.0e-17"
     with pytest.raises(SlowDecayError, match=message):
-        even_inverse_spectral(pseudo_spline_mask(11, 0), tol=1e-14)
+        even_inverse_spectral(pseudo_spline_mask(11, 0), tol=1e-17)
 
 
-def trim_kernel_loop(values, offset, tol):
-    """Edge trimming one coefficient at a time, summing the dropped mass in order."""
-    lo, hi = 0, values.size
-    budget = tol / 8.0
-    dropped = 0.0
-    while lo < hi - 1 and dropped + abs(values[lo]) <= budget:
-        dropped += abs(values[lo])
-        lo += 1
-    dropped = 0.0
-    while hi - 1 > lo and dropped + abs(values[hi - 1]) <= budget:
-        dropped += abs(values[hi - 1])
-        hi -= 1
-    return Mask(offset + lo, values[lo:hi])
+def test_root_near_the_circle_inverts_within_tol_and_shorter():
+    # a root at about 1.011: the grid-doubling inverter kept 15797 coefficients
+    ev = [-0.1321, 0.1049, 0.3616, 0.9471, -1.2654]
+    mask = Mask(0, [ev[0], 0, ev[1], 0, ev[2], 0, ev[3], 0, ev[4]])
+    assert abs(abs(np.roots(ev[::-1])).max() - 1.0112) < 1e-4
+    kern = even_inverse_spectral(mask)
+    assert inverse_residual_l1(mask, kern) <= 1e-12
+    assert len(kern.coeffs) < 15797
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.floats(-1e-3, 1e-3, allow_subnormal=False), min_size=1, max_size=40),
-    st.sampled_from([1e-30, 1e-12, 1e-6, 1e-3, 1.0, 1e3]),
-    st.integers(-50, 50),
-)
-@example([0.0], 1e-12, 0)  # one coefficient, which could be dropped: it stays
-@example([0.0, 0.0, 0.0], 1.0, -1)  # everything within budget: one stays
-@example([1e-13, 5e-14, 1.0, 5e-14, 1e-13], 1e-12, -2)
-def test_trim_kernel_matches_the_loop(values, tol, offset):
-    values = np.array(values)
-    got = _trim_kernel(values, offset, tol)
-    want = trim_kernel_loop(values, offset, tol)
-    assert got.offset == want.offset
-    assert got.floats.tobytes() == want.floats.tobytes()
+def test_negligible_end_coefficients_stay_out_of_the_roots():
+    # ev = -1.25 + z**2 + 2.1e-222 z**3, as the analysis tests drew it: np.roots of the whole
+    # even part gives -4.7e221 and two zeros in place of -+1.118; and tiny ends on both sides
+    for alpha in (Mask(0, (-1.25, 0.0, 0.0, 0.0, 1.0, 0.0, 2.1270962362399012e-222)),
+                  Mask(-2, (1e-300, 0.3, 1.25, 0.1, 0.2, 0.0, 1e-250))):
+        kern = even_inverse_spectral(alpha)
+        assert inverse_residual_l1(alpha, kern) <= 1e-12
+        ref = periodized_inverse(even_part(alpha), 1 << 12)
+        index = (kern.offset + np.arange(len(kern.coeffs))) % ref.size
+        assert np.max(np.abs(kern.floats - ref[index])) <= 1e-13 * np.max(np.abs(ref))
 
 
-def _doubling_reference(alpha, tol, max_size=1 << 20):
-    """The stabilisation loop that doubles past every rejected residual, on the
-    budget ``tol / max(1, ||ev||_1)`` that the residual's growth calls for."""
-    ev = even_part(alpha)
-    budget = tol / max(1.0, float(np.sum(np.abs(ev.floats))))
-    size = 64
-    while 4 * len(ev.coeffs) > size:
-        size *= 2
-    prev = _periodized_inverse(ev, size)
-    while size < max_size:
-        size *= 2
-        curr = _periodized_inverse(ev, size)
-        lo = size // 2 - prev.size // 2
-        drift = np.max(np.abs(curr[lo : lo + prev.size] - prev))
-        edge = max(np.max(np.abs(curr[: size // 4])), np.max(np.abs(curr[3 * size // 4 :])))
-        if drift < budget / 4.0 and edge < budget / 4.0:
-            kernel = trim_kernel_loop(curr, -(size // 2), budget)
-            if inverse_residual_l1(alpha, kernel) <= tol:
-                return kernel
-        prev = curr
-    return None
+def test_newton_step_mends_the_roots_rounding():
+    # seven roots from 0.60 to 1.23, ||ev||_1 = 10: the kernel built from np.roots
+    # alone misses tol 1e-12 and is 1.8e-13 * max|g| off; one Newton step on its
+    # support brings it to 0.1 x tol and 1e-14 * max|g|
+    ev = [0.39034630302628687, -1.0760045339130802, -0.5643952383662819, 3.140247190601184,
+          -0.16863170762223437, -3.1699867106816986, 0.3618760639764359, 1.1285122518127988]
+    mask = Mask(0, [c for e in ev for c in (e, 0.0)][:-1])
+    kern = even_inverse_spectral(mask, tol=1e-12)
+    assert inverse_residual_l1(mask, kern) <= 1e-12
+    ref = periodized_inverse(even_part(mask))
+    kern = even_inverse_spectral(mask, tol=1e-10)
+    index = (kern.offset + np.arange(len(kern.coeffs))) % ref.size
+    assert np.max(np.abs(kern.floats - ref[index])) <= 4e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
-def test_spectral_kernels_unchanged_above_rounding_floor(tol):
+def test_spectral_kernels_match_the_periodized_reference(tol):
     for n in range(3, 13):
         for nu in range(n // 2):
             mask = pseudo_spline_mask(n, nu)
-            ref = _doubling_reference(mask, tol)
+            ev = even_part(mask)
+            ref = periodized_inverse(ev, 512)  # decay base <= 0.76: aliasing below 1e-30
             got = even_inverse_spectral(mask, tol=tol)
-            assert got.offset == ref.offset, (n, nu)
-            assert got.floats.tobytes() == ref.floats.tobytes(), (n, nu)
+            index = (got.offset + np.arange(len(got.coeffs))) % ref.size
+            assert np.max(np.abs(got.floats - ref[index])) <= 1e-13 * np.max(np.abs(ref)), (n, nu)
+            # the dropped mass, plus one rounding of each reference coefficient
+            outside = np.sum(np.abs(np.delete(ref, index)))
+            noise = ref.size * 2.0 ** -53 * np.sum(np.abs(ref))
+            assert outside <= tol / max(1.0, norm_l1(ev)) + noise, (n, nu)
+            assert inverse_residual_l1(mask, got) <= tol, (n, nu)
 
 
 @pytest.mark.parametrize("shift", [2, 64, 1000, 10**30])
@@ -323,9 +352,7 @@ def test_spectral_samples_its_even_symbol_once(monkeypatch):
 
     monkeypatch.setattr(evenrev.inverse, "symbol_on_circle", counting)
     kernel = even_inverse_spectral(alpha, tol=1e-12)
-    # the doubling loop stops far below the grid, so its calls are told apart by size
-    assert max(n for n in sizes if n != grid) < grid
-    assert sizes.count(grid) == 1  # one sampling serves the check and the certificate
+    assert sizes == [grid]  # one sampling serves the check and the certificate
     monkeypatch.undo()
     expected = decay_certificate(alpha)
     assert kernel.certificate is not None
@@ -338,26 +365,115 @@ def test_inverse_rejects_tol_not_positive_and_finite():
         with pytest.raises(ParameterError):
             even_inverse_spectral(bspline_mask(4), tol=tol)
         with pytest.raises(ParameterError):
-            even_inverse(bspline_mask(3), tol=tol)
-
-
-def test_even_inverse_dispatch():
-    assert even_inverse(bspline_mask(3), method="auto").source == "closed_quadratic"
-    assert even_inverse(bspline_mask(4), method="auto").source == "closed_cubic"
-    assert even_inverse(pseudo_spline_mask(6, 1), method="auto").source == "spectral"
-    assert even_inverse(bspline_mask(4), method="spectral").source == "spectral"
-    with pytest.raises(ParameterError):
-        even_inverse(pseudo_spline_mask(6, 1), method="closed")
-    with pytest.raises(ParameterError):
-        even_inverse(bspline_mask(4), method="bogus")
+            even_inverse_spectral(bspline_mask(3), tol=tol)
 
 
 def test_even_inverse_closed_meets_tolerance():
     for order in (3, 4):
         for tol in (1e-8, 1e-12):
-            kern = even_inverse(bspline_mask(order), tol=tol, method="closed")
+            kern = even_inverse_spectral(bspline_mask(order), tol=tol)
             assert kern.tol <= tol
             assert inverse_residual_l1(bspline_mask(order), kern) <= tol
+
+
+# ---------------------------------------------------------------------------
+# the paper's hypothesis class: every mask whose even symbol stays off zero
+# ---------------------------------------------------------------------------
+
+
+def _moduli(draw, count):
+    """Root moduli on both sides of the circle, some a factor 1.01 off it."""
+    near = st.sampled_from([1.01, 1.0 / 1.01])
+    far = st.one_of(st.floats(0.1, 0.95), st.floats(1.05, 10.0))
+    return [draw(st.one_of(near, far)) for _ in range(count)]
+
+
+@st.composite
+def class_masks(draw):
+    """``(alpha, kind)``: a mask whose even part has no root within 1% of the circle.
+
+    ``kind`` is ``"roots"`` (real roots and conjugate pairs: asymmetric, any
+    offset), ``"repeated"`` (``(a + b z)**2``), ``"positive"`` (``q(z) q(1/z)``,
+    centred, real and positive, or moved off centre) or ``"slow"`` (one root
+    within 1e-5 of the circle, past the length limit).
+    """
+    kind = draw(st.sampled_from(["roots", "roots", "repeated", "positive", "slow"]))
+    if kind == "roots":
+        sign = st.sampled_from([-1.0, 1.0])
+        real = [m * draw(sign) for m in _moduli(draw, draw(st.integers(0, 3)))]
+        pairs = [m * np.exp(1j * draw(st.floats(0.1, 3.0)))
+                 for m in _moduli(draw, draw(st.integers(0, 2)))]
+        ev = np.real(np.atleast_1d(np.poly(real + pairs + [np.conj(r) for r in pairs])))[::-1]
+    elif kind == "repeated":
+        root = draw(st.sampled_from([-1.0, 1.0])) * _moduli(draw, 1)[0]
+        ev = np.convolve([-root, 1.0], [-root, 1.0])
+    elif kind == "positive":
+        sign = st.sampled_from([-1.0, 1.0])
+        roots = [m * draw(sign) for m in _moduli(draw, draw(st.integers(1, 3)))]
+        q = np.real(np.poly(roots))
+        ev = np.convolve(q, q[::-1])
+        ev = draw(st.sampled_from([1.0, -1.0])) * (ev + ev[::-1]) / 2.0  # exactly palindromic
+    else:
+        gap = draw(st.sampled_from([1e-5, 1e-6]))
+        ev = np.array([1.0, draw(st.sampled_from([-1.0, 1.0])) / (1.0 + gap)])
+    ev = ev * draw(st.sampled_from([0.5, 1.0, 8.0, 40.0])) / np.sum(np.abs(ev))
+    if kind == "positive":
+        offset = -(ev.size // 2) + draw(st.sampled_from([0, 0, 0, 1, -2]))
+    else:
+        offset = draw(st.integers(-3, 3))
+    odd = draw(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=0, max_size=4))
+    coeffs = {2 * (offset + i): c for i, c in enumerate(ev)}
+    coeffs.update({2 * (offset + i) + 1: c for i, c in enumerate(odd)})
+    low = min(coeffs)
+    return Mask(low, [coeffs.get(k, 0.0) for k in range(low, max(coeffs) + 1)]), kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(class_masks(), st.sampled_from([1e-8, 1e-10, 1e-12]), st.integers(0, 2**32 - 1))
+@example((ONE_NORM_MASK, "positive"), 1e-12, 0)
+@example((Mask(0, [1.0, 0.5, 2.0 / 1.01, 0.0, 1.0 / 1.01**2]), "repeated"), 1e-10, 0)
+def test_the_hypothesis_class_inverts_within_tol(drawn, tol, seed):
+    alpha, kind = drawn
+    ev = even_part(alpha)
+    e = ev.floats
+    ref = periodized_inverse(ev)
+    ref_min = float(np.min(np.abs(np.fft.rfft(np.r_[e, np.zeros(ref.size - e.size)]))))
+    moduli = np.abs(np.roots(e[::-1]))
+    base = float(np.max(np.minimum(moduli, 1.0 / moduli), initial=0.0))
+    # Below this tol the residual ||g*ev - delta||_1 is rounding noise of its own terms.
+    # A rounding of ev moves g by up to floor * ||g||_1: the problem's conditioning.
+    floor = 2.0 ** -53 * np.sum(np.abs(ref)) * np.sum(np.abs(e))
+    try:
+        kern = even_inverse_spectral(alpha, tol=tol)
+    except EvenReversibilityError:
+        assert ref_min <= 1e-9, kind
+        return
+    except SlowDecayError as exc:
+        if "needs more than 1048576 coefficients" in str(exc):
+            assert base > 0.999, (kind, base)
+        else:
+            assert "residual" in str(exc) and tol < 8.0 * floor, (kind, floor)
+        return
+    assert kind != "slow" and base < 0.991
+    assert inverse_residual_l1(alpha, kern) <= tol
+    index = (kern.offset + np.arange(len(kern.coeffs))) % ref.size
+    agree = (1e-12 + 64.0 * floor) * np.sum(np.abs(ref))
+    assert np.max(np.abs(kern.floats - ref[index])) <= agree, kind
+    centred = 2 * ev.offset + e.size - 1 == 0
+    real = np.max(np.abs(e - e[::-1])) <= 1e-13 * np.sum(np.abs(e))
+    positive = bool(np.min(np.real(np.fft.rfft(np.roll(np.r_[e, np.zeros(ref.size - e.size)],
+                                                       ev.offset)))) > 1e-9)
+    assert (kern.certificate is not None) == (centred and real and positive), kind
+    if kern.certificate is not None:
+        cert, k = kern.certificate, kern.offset + np.arange(len(kern.coeffs))
+        assert np.all(np.abs(kern.floats) <= cert.K * cert.lam ** np.abs(k) * (1.0 + 1e-9)), kind
+    # the coarse data grow like ||g||_1 per level (4e8 for a double root at 1.01),
+    # and the reconstruction rounds at their scale
+    c = np.random.default_rng(seed).uniform(-1.0, 1.0, 64)
+    for mode in ("exact", "kernel"):
+        pyr = decompose(c, alpha, 2, mode=mode, kernel=kern)
+        scale = max(1.0, float(np.max(np.abs(pyr.coarse))))
+        assert np.max(np.abs(reconstruct(pyr, alpha) - c)) <= 1e-10 * scale, (kind, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +496,7 @@ def test_certificate_cubic_sound():
     assert cert.hypothesis_met
     assert abs(cert.kappa - 2.0) < 1e-12
     assert abs(cert.lam - SQRT2_RATIO) < 1e-12
-    kern = even_inverse_closed_cubic(60)
+    kern = closed_cubic(60)
     for k in kern.support:
         assert abs(kern.coeff(k)) <= cert.bound(k) + 1e-15
     # the actual decay ratio of the cubic inverse *equals* the certified base
@@ -526,24 +642,29 @@ def _cubic_halfwidth_by_log(tol):
 
 
 def test_closed_form_lengths_match_the_log_formulas():
+    # the roots fix the lengths: the shortest closed forms whose dropped tail is within tol
     quadratic, cubic = bspline_mask(3), bspline_mask(4)
     for tol in np.logspace(-16, -2, 1401).tolist() + [0.3, 0.7, 1.0, 3.0]:
         count, halfwidth = _quadratic_count_by_log(tol), _cubic_halfwidth_by_log(tol)
-        kern = even_inverse(quadratic, tol=tol)
+        # below 1e-8 the dropped tail's square is under rounding; above, the Newton step moves it
+        close = 1e-15 if tol <= 1e-8 else tol
+        kern = even_inverse_spectral(quadratic, tol=tol)
         assert (kern.offset, len(kern.coeffs)) == (0, count), tol
-        assert kern.floats.tobytes() == ((4.0 / 3.0) * (-1.0 / 3.0) ** np.arange(count)).tobytes()
-        assert kern.tol == 2.0 * 3.0 ** (-count)
-        kern = even_inverse(cubic, tol=tol)
+        assert np.max(np.abs(kern.floats - closed_quadratic(count).floats)) <= close, tol
+        assert kern.tol == tol
+        kern = even_inverse_spectral(cubic, tol=tol)
         assert (kern.offset, len(kern.coeffs)) == (-halfwidth, 2 * halfwidth + 1), tol
-        k = np.arange(-halfwidth, halfwidth + 1)
-        assert kern.floats.tobytes() == (SQRT2 * (-SQRT2_RATIO) ** np.abs(k)).tobytes()
-        assert kern.tol == 2.0 * SQRT2 * SQRT2_RATIO ** (halfwidth + 1) / (1.0 - SQRT2_RATIO)
+        assert np.max(np.abs(kern.floats - closed_cubic(halfwidth).floats)) <= close, tol
+        assert kern.tol == tol
 
 
 def test_closed_form_lengths_reach_the_smallest_tolerance():
-    # the log formulas divided by or took the log of an underflowing tol
-    assert len(even_inverse(bspline_mask(3), tol=5e-324).coeffs) == 679
-    assert even_inverse(bspline_mask(4), tol=5e-324).offset == -422
+    # the tail bounds take logs of an underflowing tol; the residual then names the floor.
+    # The cubic needs (3 - 2 sqrt 2)**424 <= 5e-324 (1 - ratio) / (2 sqrt 2): halfwidth 423
+    with pytest.raises(SlowDecayError, match="inverse of 679 coefficients has residual"):
+        even_inverse_spectral(bspline_mask(3), tol=5e-324)
+    with pytest.raises(SlowDecayError, match="inverse of 847 coefficients has residual"):
+        even_inverse_spectral(bspline_mask(4), tol=5e-324)
 
 
 # The one-norm residual ||g * ev - delta||_1 bounds sup |ev(z) g(z) - 1| on the
@@ -551,7 +672,7 @@ def test_closed_form_lengths_reach_the_smallest_tolerance():
 
 
 def test_verify_inverse_closed_cubic():
-    kern = even_inverse_closed_cubic(40)
+    kern = closed_cubic(40)
     assert inverse_residual_l1(bspline_mask(4), kern) < 1e-12
 
 
@@ -561,9 +682,9 @@ def test_verify_inverse_delta_on_interpolatory():
 
 
 def test_verify_inverse_detects_perturbation():
-    kern = even_inverse_closed_cubic(40)
+    kern = closed_cubic(40)
     coeffs = np.asarray(kern.coeffs).copy()
     coeffs[-kern.offset] += 0.01  # bump the centre coefficient
-    bad = Kernel(kern.offset, coeffs, kern.tol, "custom")
+    bad = Kernel(kern.offset, coeffs, cubic_tail(40), "custom")
     # the bump convolves with ev = (1/z + 6 + z)/8 into 0.01 * (1 + 6 + 1)/8 of one-norm
     assert inverse_residual_l1(bspline_mask(4), bad) >= 0.01 - 1e-12

@@ -1,0 +1,93 @@
+"""Committed mutants: each named check must catch its defect.
+
+A row patches one small defect into one function of the package with
+``monkeypatch``: the function's source with one snippet replaced, compiled in
+its module's namespace and bound wherever a module holds the original.  It
+names the selftest criteria and tests that must then fail.  A defect that no
+named check catches fails its row, and is mended by strengthening a check,
+never by deleting the row (DeMillo, Lipton & Sayward, "Hints on test data
+selection: help for the practicing programmer", IEEE Computer 11(4), 1978).
+"""
+
+import inspect
+import sys
+
+import pytest
+
+import test_inverse
+from evenrev import inverse, selftest
+from evenrev.errors import EvenRevError
+
+
+def criterion(cid):
+    def check():
+        next(c for c in selftest.criteria() if c.cid == cid).run()
+
+    check.__name__ = f"criterion_{cid}"
+    return check
+
+
+def call(function, *args):
+    def check():
+        function(*args)
+
+    check.__name__ = function.__name__ + "".join(f"[{a!r}]" for a in args)
+    return check
+
+
+# name: (function, snippet, mutated snippet, checks that must fail)
+MUTANTS = {
+    "roots_swapped": (
+        inverse.even_inverse_spectral,
+        "inner = np.abs(roots) < 1.0",
+        "inner = np.abs(roots) > 1.0",
+        [criterion("1"), criterion("2"), call(test_inverse.test_spectral_matches_closed_cubic)],
+    ),
+    "newton_dropped": (
+        inverse.even_inverse_spectral,
+        "g = g + np.fft.irfft(",
+        "g = g + 0.0 * np.fft.irfft(",
+        [call(test_inverse.test_newton_step_mends_the_roots_rounding)],
+    ),
+    "budget_unscaled": (
+        inverse.even_inverse_spectral,
+        "abs(scale) / max(1.0, l1) / sides",
+        "abs(scale) / sides",
+        [call(test_inverse.test_spectral_budget_scales_with_the_even_part_one_norm, 1e-12)],
+    ),
+    "offset_off_by_one": (
+        inverse.even_inverse_spectral,
+        "- (n_in - 1), g, tol",
+        "- n_in, g, tol",
+        [criterion("1"), criterion("2"), criterion("4"), criterion("7"),
+         call(test_inverse.test_spectral_interpolatory_gives_exact_delta)],
+    ),
+}
+
+
+def patch(monkeypatch, function, old, new):
+    source = inspect.getsource(function)
+    assert source.count(old) == 1, f"{function.__name__} no longer holds {old!r} once"
+    module = sys.modules[function.__module__]
+    namespace = {}
+    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"),
+         vars(module), namespace)
+    for mod in list(sys.modules.values()):  # the package and every test that imported it
+        for key, value in list(getattr(mod, "__dict__", {}).items()):
+            if value is function:
+                monkeypatch.setattr(mod, key, namespace[function.__name__])
+
+
+ROWS = [(name, check) for name, (*_, checks) in MUTANTS.items() for check in checks]
+
+
+@pytest.mark.parametrize("name, check", ROWS, ids=[f"{n}-{c.__name__}" for n, c in ROWS])
+def test_the_named_check_catches_the_mutant(name, check, monkeypatch):
+    function, old, new, _ = MUTANTS[name]
+    patch(monkeypatch, function, old, new)
+    selftest._kern.cache_clear()  # kernels built before the patch must not answer
+    try:
+        with pytest.raises((AssertionError, EvenRevError)):
+            check()
+    finally:
+        selftest._kern.cache_clear()

@@ -15,6 +15,7 @@ from evenrev import (
     decompose,
     make_mask,
     pseudo_spline_mask,
+    reconstruct,
 )
 from evenrev.inverse import DecayCertificate, Kernel, even_inverse_spectral
 from evenrev.serialize import (
@@ -98,6 +99,23 @@ def test_kernel_json_layout():
     assert list(obj) == ["offset", "coeffs", "tol", "source", "certificate"]
     assert obj["offset"] == spectral.offset and obj["coeffs"] == spectral.floats.tolist()
     assert obj["tol"] == 1e-12 and obj["source"] == "spectral"
+
+
+def test_a_closed_form_kernel_file_still_loads():
+    # as `invert --tol 1e-12` wrote it for the cubic before the closed-form route was retired
+    text = dump_json({
+        "offset": -16,
+        "coeffs": [2 ** 0.5 * (-(3 - 2 * 2 ** 0.5)) ** abs(k) for k in range(-16, 17)],
+        "tol": 3.3030669893143714e-13,
+        "source": "closed_cubic",
+        "certificate": None,
+    })
+    kern = kernel_from_obj(json.loads(text))
+    assert (kern.offset, len(kern.coeffs), kern.source) == (-16, 33, "closed_cubic")
+    assert kern.certificate is None
+    signal = np.random.default_rng(3).uniform(-1.0, 1.0, 64)
+    pyr = decompose(signal, bspline_mask(4), 3, mode="kernel", kernel=kern)
+    assert np.max(np.abs(reconstruct(pyr, bspline_mask(4)) - signal)) < 1e-12
 
 
 def test_certificate_fields_survive():

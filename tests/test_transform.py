@@ -25,7 +25,6 @@ from evenrev import (
     decompose,
     delta,
     downsample,
-    even_inverse_closed_cubic,
     even_inverse_spectral,
     make_mask,
     odd_part,
@@ -102,10 +101,10 @@ def test_decimate_cubic_impulse_folds_kernel():
     c = np.zeros(16)
     c[0] = 1.0
     out = decimate(c, bspline_mask(4))
-    closed = even_inverse_closed_cubic(200)
+    # the paper's cubic inverse sqrt(2) (-(3 - 2 sqrt 2))**|k|, folded onto 8 points
     expected = np.zeros(8)
-    for k in closed.support:
-        expected[k % 8] += closed.coeff(k)
+    for k in range(-200, 201):
+        expected[k % 8] += math.sqrt(2.0) * (-(3.0 - 2.0 * math.sqrt(2.0))) ** abs(k)
     assert np.max(np.abs(out - expected)) < 1e-12
 
 
