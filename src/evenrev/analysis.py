@@ -90,6 +90,17 @@ def _build(kind: str, params: dict | None) -> tuple[Callable[[np.ndarray], np.nd
     raise ParameterError(f"unknown (or non-periodic) test function {kind!r}")
 
 
+def _allocated(make, size: int, request: str) -> np.ndarray:
+    """``make()``, an array of ``size`` float64 values, or a :class:`ParameterError` that
+    names the ``request`` when no array or no memory can hold it."""
+    if size > np.iinfo(np.intp).max // 8:  # numpy refuses 8-byte arrays this long
+        raise ParameterError(f"{request}, more than an array can hold")
+    try:
+        return make()
+    except MemoryError:  # numpy accepts the size, but no memory holds it
+        raise ParameterError(f"{request}, more than memory can hold") from None
+
+
 def sample_function(kind: str, j: int, base: int = 2, params: dict | None = None) -> np.ndarray:
     """Sample a smooth 1-periodic test function on the dyadic grid ``k / 2**j``.
 
@@ -102,17 +113,8 @@ def sample_function(kind: str, j: int, base: int = 2, params: dict | None = None
     if j < 0:
         raise ParameterError("resolution exponent must be >= 0")
     size = base * 2 ** j
-    if size > np.iinfo(np.intp).max // 8:  # numpy refuses 8-byte arrays this long
-        raise ParameterError(
-            f"levels {j} with base {base} ask for {size} samples, more than an array can hold"
-        )
-    f, _ = _build(kind, params)
-    try:
-        return f(np.arange(size) / 2.0 ** j)
-    except MemoryError:  # numpy accepts the size, but no memory holds it
-        raise ParameterError(
-            f"levels {j} with base {base} ask for {size} samples, more than memory can hold"
-        ) from None
+    return _allocated(lambda: _build(kind, params)[0](np.arange(size) / 2.0 ** j), size,
+                      f"levels {j} with base {base} ask for {size} samples")
 
 
 def derivative_bound(kind: str, params: dict | None = None) -> float:
@@ -286,6 +288,13 @@ def _check_trials(trials: int, perturbation: float) -> None:
         raise ParameterError(f"trials must be >= 1, got {trials}")
 
 
+def _draw(rng, low: float, high: float, shape: tuple) -> np.ndarray:
+    """``rng.uniform(low, high, shape)`` for ``shape[0]`` trials, or :func:`_allocated`'s error."""
+    size = math.prod(shape)
+    return _allocated(lambda: rng.uniform(low, high, shape), size,
+                      f"trials {shape[0]} ask for {size} random values")
+
+
 def _holds(measured: float, bound: float) -> bool:
     """A trial's verdict: ``measured <= bound``, both finite (an overflow proves nothing)."""
     return math.isfinite(measured) and math.isfinite(bound) and measured <= bound + 1e-12
@@ -335,7 +344,7 @@ def reconstruction_stability_experiment(
     # row t holds trial t's draws in the order a trial at a time would make
     # them: the coarse data first, then each detail level
     sizes = [pyramid.coarse.size] + [d.size for d in pyramid.details]
-    noise = rng.uniform(-perturbation, perturbation, (trials, sum(sizes)))
+    noise = _draw(rng, -perturbation, perturbation, (trials, sum(sizes)))
     dc, *dds = np.split(noise, np.cumsum(sizes)[:-1], axis=1)
     perturbed = Pyramid(
         pyramid.coarse + dc,
@@ -391,7 +400,7 @@ def decomposition_stability_experiment(
     residual_norm = 1.0 + s_norm * d_norm
     rng = np.random.default_rng(seed)
     # trial t draws its signal and then its noise, as one trial at a time would
-    draws = rng.uniform(-1.0, 1.0, (trials, 2, length))
+    draws = _draw(rng, -1.0, 1.0, (trials, 2, length))
     c = draws[:, 0]
     noise = draws[:, 1] * perturbation
     both = decompose(np.concatenate([c, c + noise]), alpha, levels, mode, kernel, guard=guard)
@@ -446,8 +455,6 @@ def compression_experiment(
     alpha: Mask,
     levels: int,
     eps_grid,
-    mode: str = "exact",
-    kernel: Kernel | None = None,
     guard: float = GUARD,
 ) -> CompressionReport:
     """Hard-threshold the details over a grid of cutoffs and tabulate errors.
@@ -459,7 +466,7 @@ def compression_experiment(
     """
     # powers up to the depth bound every synthesis run here
     k_sub = estimate_subdivision_sup_norm(alpha, max_power=max(12, levels))
-    pyramid = decompose(signal, alpha, levels, mode, kernel, guard=guard)
+    pyramid = decompose(signal, alpha, levels, guard=guard)
     baseline = reconstruct(pyramid, alpha)
     rows = []
     for eps in eps_grid:

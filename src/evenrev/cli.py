@@ -17,10 +17,10 @@ import numpy as np
 
 from . import analysis, selftest, serialize
 from .errors import EvenRevError, ParameterError
-from .inverse import even_inverse_spectral
+from .inverse import even_inverse_spectral, inverse_residual_l1
 from .laurent import CIRCLE_SAMPLES, GUARD, INVERSE_TOL
 from .masks import bspline_mask, dd_mask, pseudo_spline_mask
-from .transform import _analysis, _pyramid, decompose, reconstruct, threshold_details
+from .transform import decompose, reconstruct, threshold_details
 
 __all__ = ["RunConfig", "main"]
 
@@ -37,8 +37,8 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         s = self.circle_samples
-        if s < 1024 or s & (s - 1):
-            raise ParameterError("circle_samples must be a power of two >= 1024")
+        if s < 1024 or s > 1 << 24 or s & (s - 1):
+            raise ParameterError(f"circle_samples must be a power of two in [1024, 2**24], got {s}")
         if self.mode not in ("exact", "kernel"):
             raise ParameterError(f"unknown default mode {self.mode!r}")
         if not 0 <= self.guard_threshold < math.inf:
@@ -105,19 +105,6 @@ def _load_signal(path: str) -> np.ndarray:
     return serialize.signal_from_csv_text(text)
 
 
-def _check_packable(levels, limits) -> None:
-    """Refuse ``--packed`` when a full-length level's even details exceed its limit."""
-    leaks = [float(np.max(np.abs(d[..., 0::2]))) if full else 0.0 for d, full in levels]
-    over = [(leak, level, limit)
-            for level, (leak, limit) in enumerate(zip(leaks, limits), start=1) if leak > limit]
-    if over:
-        leak, level, limit = max(over)
-        raise ParameterError(
-            f"--packed would drop an even detail of {leak:.3g} at level {level} "
-            f"(allowed {limit:.3g}); write the pyramid without --packed"
-        )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -164,15 +151,12 @@ def _cmd_decompose(args, cfg: RunConfig) -> int:
     mask = _load_mask(args.mask)
     signal = _load_signal(args.signal)
     mode, kernel = _resolve_kernel(args, mask, cfg)
-    steps = _analysis(signal, mask, args.levels, mode, kernel, cfg.guard_threshold)
-    if args.packed and kernel is not None:
-        # A kernel of residual tol leaves even details up to tol * max|c_l| at
-        # level l, c_l as the analysis made it.  Exact mode stores none.
-        steps = list(steps)  # (c_J, d_J), ..., (c_0, None)
-        floor = 1e-10 * max(1.0, float(np.max(np.abs(signal))))
-        limits = [1.01 * kernel.tol * float(np.max(np.abs(c))) + floor for c, _ in steps[-2::-1]]
-        _check_packable([(d, True) for _, d in steps[-2::-1]], limits)
-    pyramid = _pyramid(steps, args.mask_id)
+    # a kernel's even details (delta - ev * g) * c_l are at most ||g * ev - delta||_1 * max|c_l|
+    if args.packed and kernel is not None and (r := inverse_residual_l1(mask, kernel)) > kernel.tol:
+        raise ParameterError(f"--packed refuses a kernel whose residual ||g*ev - delta||_1 = "
+                             f"{r:.3e} exceeds its tol {kernel.tol:.3e}; write the pyramid "
+                             "without --packed")
+    pyramid = decompose(signal, mask, args.levels, mode, kernel, args.mask_id, cfg.guard_threshold)
     _emit(serialize.pyramid_to_obj(pyramid, packed=args.packed), args.out)
     return 0
 
@@ -187,8 +171,9 @@ def _cmd_reconstruct(args, cfg: RunConfig) -> int:
 def _cmd_compress(args, cfg: RunConfig) -> int:
     pyramid = serialize.pyramid_from_obj(serialize.load_json(args.pyramid))
     squeezed, kept, total = threshold_details(pyramid, args.eps)
-    if args.packed:
-        _check_packable(squeezed._full(), [0.0] * squeezed.levels)
+    if args.packed and (leak := squeezed.max_even_detail()) > 0:
+        raise ParameterError(f"--packed would drop an even detail of {leak:.3g}; "
+                             "write the pyramid without --packed")
     _emit(serialize.pyramid_to_obj(squeezed, packed=args.packed), args.out)
     sys.stderr.write(f"kept {kept} of {total} detail entries\n")
     return 0

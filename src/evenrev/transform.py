@@ -29,14 +29,13 @@ Two decimation modes, one dispatch for :func:`decimate` and :func:`decompose`:
   Its level stores the whole residual ``c - S_alpha(coarse)``, whose even
   entries are the truncation leak that the budget bounds.
 
-A :class:`Pyramid` stores each level as one array, as it was made.  One
-private generator runs the analysis and yields each level's data with its
-detail; :func:`decompose`, the decay report and ``--packed`` read it, so
-nothing re-synthesizes.  All of these, and :func:`reconstruct`, work along
-the last axis of ``(..., N)`` arrays, as the :mod:`~evenrev.laurent`
-operators do, so a :class:`Pyramid` may hold a batch of signals' pyramids
-(every detail has the coarse data's leading shape).  Pyramid files stay 1-D:
-:func:`~evenrev.serialize.pyramid_to_obj` refuses a batched pyramid.
+A :class:`Pyramid` stores each level as one array, as it was made.  One private
+generator runs the analysis and yields each level's data with its detail;
+:func:`decompose` and the decay report read it, so nothing re-synthesizes.  All of
+these, and :func:`reconstruct`, work along the last axis of ``(..., N)`` arrays, as
+the :mod:`~evenrev.laurent` operators do, so a :class:`Pyramid` may hold a batch of
+signals' pyramids (every detail has the coarse data's leading shape).  Pyramid files
+stay 1-D: :func:`~evenrev.serialize.pyramid_to_obj` refuses a batched pyramid.
 """
 
 from __future__ import annotations
@@ -131,7 +130,7 @@ class Pyramid:
         return len(self.stored)
 
     def max_even_detail(self) -> float:
-        """Largest detail magnitude at an even index, over the full-length levels."""
+        """Largest even-index |d| of the full-length levels: the entries ``--packed`` would drop."""
         return max((float(np.max(np.abs(d[..., 0::2]))) for d, full in self._full() if full),
                    default=0.0)
 
@@ -195,24 +194,13 @@ def _analysis(c, alpha: Mask, levels: int, mode: str, kernel: Kernel | None, gua
     halve = _halving(alpha, n, mode, kernel, guard)
     for level in range(levels):
         coarse = halve(c[..., ::2], level)  # a view, not a copy: nothing here writes into c
-        if mode == "kernel":  # the paper's detail c - S(coarse), in the upscaled array
-            d = subdivide(alpha, coarse)
-            np.subtract(c, d, out=d)
+        if mode == "kernel":  # the paper's detail c - S(coarse)
+            d = c - subdivide(alpha, coarse)
         else:
             d = c[..., 1::2] - circular_convolve(alpha.polyphase[1], coarse)
         yield c, d
         c = coarse
     yield c, None
-
-
-def _pyramid(steps, mask_id: str) -> Pyramid:
-    """The :class:`Pyramid` of :func:`_analysis`'s steps."""
-    stored = []
-    for coarse, d in steps:  # one level's data alive at a time
-        stored.append(d)
-    if len(stored) < 2:  # c_0 alone, without a detail
-        raise LevelError("need at least one level, got 0")
-    return Pyramid._of(coarse, stored[-2::-1], mask_id)
 
 
 def decompose(
@@ -230,7 +218,12 @@ def decompose(
     kernel mode stores the whole residual.  ``guard`` is :func:`decimate`'s bound on
     the even symbol's modulus.
     """
-    return _pyramid(_analysis(c, alpha, levels, mode, kernel, guard), mask_id)
+    stored = []
+    for coarse, d in _analysis(c, alpha, levels, mode, kernel, guard):
+        stored.append(d)  # the details only: one level's data alive at a time
+    if len(stored) < 2:  # c_0 alone, without a detail
+        raise LevelError("need at least one level, got 0")
+    return Pyramid._of(coarse, stored[-2::-1], mask_id)
 
 
 def reconstruct(p: Pyramid, alpha: Mask) -> np.ndarray:

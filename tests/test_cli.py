@@ -1,5 +1,6 @@
 """End-to-end command-line tests through real files."""
 
+import dataclasses
 import json
 import os
 import stat
@@ -9,11 +10,15 @@ import sys
 import numpy as np
 import pytest
 
-from evenrev import decimate, subdivide
+from evenrev import cli, transform
+from evenrev.inverse import even_inverse_spectral, inverse_residual_l1
 from evenrev.laurent import Mask, even_part, min_modulus_on_circle
 from evenrev.cli import main
+from evenrev.masks import pseudo_spline_mask
+from evenrev.transform import decompose
 from evenrev.serialize import (
-    kernel_from_obj, load_json, mask_from_obj, signal_from_csv_text, write_text_atomic,
+    dump_json, kernel_from_obj, kernel_to_obj, load_json, mask_from_obj, mask_to_obj,
+    pyramid_to_obj, signal_from_csv_text, write_text_atomic,
 )
 
 
@@ -401,6 +406,18 @@ KERNEL = ('{{"offset": 0, "coeffs": [1.0], "tol": 1e-9, "certificate": {{"kappa"
          "perturbation must be at most half the largest float, got 1e+308"),
         ("analyze stability --mode dec --trials -3 --mask {m}", {}, "trials must be >= 1, got -3"),
         ("analyze stability --mode rec --trials 0 --mask {m}", {}, "trials must be >= 1, got 0"),
+        # the noise arrays of 10**12 trials take 3.6 PiB, past any address space
+        ("analyze stability --mode dec --trials 1000000000000 --mask {m}", {},
+         "trials 1000000000000 ask for 512000000000000 random values, more than memory can"),
+        ("analyze stability --mode rec --trials 1000000000000 --mask {m}", {},
+         "trials 1000000000000 ask for 508000000000000 random values, more than memory can"),
+        ("analyze stability --mode dec --trials 100000000000000000000 --mask {m}", {},
+         "random values, more than an array can hold"),
+        ("analyze stability --mode rec --trials 100000000000000000000 --mask {m}", {},
+         "random values, more than an array can hold"),
+        # 2**50 circle samples would take 8 PiB
+        ("--samples 1125899906842624 analyze stability --mode dec --p 2 --mask {m}", {},
+         "circle_samples must be a power of two in [1024, 2**24], got 1125899906842624"),
         ("analyze decay --levels 70 --mask {m}", {}, "levels 70 with base 2 ask for"),
         # 2**59 samples pass numpy's size check, but 4 EiB exceed any address space
         ("analyze decay --levels 58 --mask {m}", {}, "levels 58 with base 2 ask for"),
@@ -425,7 +442,9 @@ KERNEL = ('{{"offset": 0, "coeffs": [1.0], "tol": 1e-9, "certificate": {{"kappa"
         "stability-rec-perturbation-nan", "stability-rec-perturbation-inf",
         "stability-dec-perturbation-negative", "stability-rec-perturbation-overflow",
         "stability-dec-trials",
-        "stability-rec-trials", "decay-levels-too-many", "decay-levels-58",
+        "stability-rec-trials", "stability-dec-trials-memory", "stability-rec-trials-memory",
+        "stability-dec-trials-array", "stability-rec-trials-array", "samples-too-many",
+        "decay-levels-too-many", "decay-levels-58",
         "seed-negative", "seed-negative-subcommand", "config-seed-negative",
         "config-unknown-key", "kernel-hypothesis-met-string", "pyramid-packed-string",
     ],
@@ -487,55 +506,98 @@ def _signal_file(tmp_path, n, seed):
     return path
 
 
+DELTA = ('{"offset": 0, "coeffs": [1.0], "tol": 1e-12, "source": "custom", '
+         '"certificate": null}')
+
+
 def test_packed_refuses_leaking_even_details(tmp_path, capsys):
     mask = tmp_path / "cubic.json"
     mask.write_text(CUBIC)
     delta = tmp_path / "delta.json"  # not the even-inverse of the cubic mask
-    delta.write_text('{"offset": 0, "coeffs": [1.0], "tol": 1e-12, "source": "custom", '
-                     '"certificate": null}')
+    delta.write_text(DELTA)
     out = tmp_path / "p.json"
     assert run("decompose", "--signal", str(_signal_file(tmp_path, 256, 3)), "--mask", str(mask),
                "--levels", "3", "--mode", "kernel", "--kernel", str(delta), "--packed",
                "--out", str(out)) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: validation: --packed would drop an even detail of ")
-    assert err.count("\n") == 1 and not out.exists()
+    # ||delta * ev - delta||_1 for the cubic ev = (1 + 6z + z^2)/8
+    assert err == ("error: validation: --packed refuses a kernel whose residual "
+                   "||g*ev - delta||_1 = 5.000e-01 exceeds its tol 1.000e-12; "
+                   "write the pyramid without --packed\n")
+    assert not out.exists()
 
 
-def test_packed_limit_takes_max_c_l_from_its_own_level(tmp_path, capsys):
-    # a kernel of 2 doubles the data at each halving, so max|c_l| differs from
-    # level to level and the limit in the message pins the level it came from
-    mask_path, kernel_path = tmp_path / "cubic.json", tmp_path / "double.json"
-    mask_path.write_text(CUBIC)
-    kernel_path.write_text('{"offset": 0, "coeffs": [2.0], "tol": 0.01, "source": "custom", '
-                           '"certificate": null}')
-    signal_path = _signal_file(tmp_path, 256, 5)
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+@pytest.mark.parametrize("order, nu", [(6, 1), (7, 2)])
+def test_packed_invert_kernels_write_the_packed_pyramid(tmp_path, order, nu, tol):
+    mask_path, kernel_path, out = tmp_path / "m.json", tmp_path / "k.json", tmp_path / "p.json"
+    assert run("mask", "--family", "pseudo", "--order", str(order), "--nu", str(nu),
+               "--out", str(mask_path)) == 0
+    assert run("invert", "--mask", str(mask_path), "--tol", str(tol),
+               "--out", str(kernel_path)) == 0
+    signal_path = _signal_file(tmp_path, 256, 8)
     assert run("decompose", "--signal", str(signal_path), "--mask", str(mask_path),
                "--levels", "4", "--mode", "kernel", "--kernel", str(kernel_path), "--packed",
+               "--out", str(out)) == 0
+    pyramid = decompose(signal_from_csv_text(signal_path.read_text()),
+                        mask_from_obj(load_json(str(mask_path))), 4, "kernel",
+                        kernel_from_obj(load_json(str(kernel_path))))
+    assert out.read_text() == dump_json(pyramid_to_obj(pyramid, packed=True))
+
+
+def test_packed_refuses_a_kernel_just_past_its_tol(tmp_path, capsys):
+    mask = pseudo_spline_mask(6, 1)
+    mask_path, kernel_path, out = tmp_path / "m.json", tmp_path / "k.json", tmp_path / "p.json"
+    mask_path.write_text(dump_json(mask_to_obj(mask)))
+    kernel = even_inverse_spectral(mask, tol=1e-10)
+    residual = inverse_residual_l1(mask, kernel)
+    argv = ["decompose", "--signal", str(_signal_file(tmp_path, 256, 9)), "--mask",
+            str(mask_path), "--levels", "4", "--mode", "kernel", "--kernel", str(kernel_path),
+            "--packed", "--out", str(out)]
+    for tol, status in [(np.nextafter(residual, 0.0), 1), (residual, 0)]:
+        kernel_path.write_text(dump_json(kernel_to_obj(dataclasses.replace(kernel, tol=tol))))
+        assert run(*argv) == status, tol
+        assert out.exists() == (status == 0)
+    assert capsys.readouterr().err.count("refuses a kernel whose residual") == 1
+
+
+def test_packed_refuses_before_any_analysis(tmp_path, monkeypatch):
+    mask, delta = tmp_path / "cubic.json", tmp_path / "delta.json"
+    mask.write_text(CUBIC)
+    delta.write_text(DELTA)
+
+    def halving(*args):  # every analysis builds its decimation first
+        raise AssertionError("the analysis started")
+
+    monkeypatch.setattr(transform, "_halving", halving)
+    assert run("decompose", "--signal", str(_signal_file(tmp_path, 256, 3)), "--mask", str(mask),
+               "--levels", "3", "--mode", "kernel", "--kernel", str(delta), "--packed",
                "--out", str(tmp_path / "p.json")) == 1
-    err = capsys.readouterr().err
-    mask = mask_from_obj(load_json(str(mask_path)))
-    kernel = kernel_from_obj(load_json(str(kernel_path)))
-    c = signal_from_csv_text(signal_path.read_text())
-    floor = 1e-10 * max(1.0, float(np.max(np.abs(c))))
-    over = []
-    for level in range(4, 0, -1):  # the decimate chain, finest level first
-        coarse = decimate(c, mask, mode="kernel", kernel=kernel)
-        leak = float(np.max(np.abs((c - subdivide(mask, coarse))[::2])))
-        limit = 1.01 * 0.01 * float(np.max(np.abs(c))) + floor
-        if leak > limit:
-            over.append((leak, level, limit))
-        c = coarse
-    leak, level, limit = max(over)
-    assert f"even detail of {leak:.3g} at level {level} (allowed {limit:.3g})" in err, err
+
+
+@pytest.mark.parametrize("flags", [[], ["--packed"], ["--mode", "kernel"],
+                                   ["--mode", "kernel", "--packed"]])
+def test_decompose_command_calls_decompose_once(tmp_path, monkeypatch, flags):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(transform, "decompose", counted)
+    monkeypatch.setattr(cli, "decompose", counted)
+    mask = tmp_path / "cubic.json"
+    mask.write_text(CUBIC)
+    assert run("decompose", "--signal", str(_signal_file(tmp_path, 256, 3)), "--mask", str(mask),
+               "--levels", "3", *flags, "--out", str(tmp_path / "p.json")) == 0
+    assert len(calls) == 1
 
 
 def test_compress_packed_refuses_nonzero_even_details(tmp_path, capsys):
     mask = tmp_path / "cubic.json"
     mask.write_text(CUBIC)
     delta = tmp_path / "delta.json"  # not the even-inverse of the cubic mask
-    delta.write_text('{"offset": 0, "coeffs": [1.0], "tol": 1e-12, "source": "custom", '
-                     '"certificate": null}')
+    delta.write_text(DELTA)
     pyr = tmp_path / "p.json"
     assert run("decompose", "--signal", str(_signal_file(tmp_path, 256, 4)), "--mask", str(mask),
                "--levels", "3", "--mode", "kernel", "--kernel", str(delta),
@@ -545,9 +607,9 @@ def test_compress_packed_refuses_nonzero_even_details(tmp_path, capsys):
     out = tmp_path / "small.json"
     assert run("compress", "--pyramid", str(pyr), "--eps", "0", "--packed", "--out", str(out)) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: validation: --packed would drop an even detail of ")
-    assert f"of {max(map(abs, evens)):.3g} at level" in err
-    assert err.count("\n") == 1 and not out.exists()
+    assert err == (f"error: validation: --packed would drop an even detail of "
+                   f"{max(map(abs, evens)):.3g}; write the pyramid without --packed\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])

@@ -14,13 +14,14 @@ import sys
 
 import pytest
 
+import test_cli
 import test_inverse
-from evenrev import inverse, selftest
+from evenrev import cli, inverse, selftest
 from evenrev.errors import EvenRevError
 
 
 def criterion(cid):
-    def check():
+    def check(**fixtures):
         next(c for c in selftest.criteria() if c.cid == cid).run()
 
     check.__name__ = f"criterion_{cid}"
@@ -28,8 +29,10 @@ def criterion(cid):
 
 
 def call(function, *args):
-    def check():
-        function(*args)
+    """A check that calls a test with ``args`` and the fixtures its other parameters name."""
+    def check(**fixtures):
+        names = list(inspect.signature(function).parameters)[len(args):]
+        function(*args, **{name: fixtures[name] for name in names})
 
     check.__name__ = function.__name__ + "".join(f"[{a!r}]" for a in args)
     return check
@@ -62,6 +65,20 @@ MUTANTS = {
         [criterion("1"), criterion("2"), criterion("4"), criterion("7"),
          call(test_inverse.test_spectral_interpolatory_gives_exact_delta)],
     ),
+    "packed_residual_unchecked": (
+        cli._cmd_decompose,
+        "> kernel.tol:",
+        "> math.inf:",
+        [call(test_cli.test_packed_refuses_leaking_even_details),
+         call(test_cli.test_packed_refuses_a_kernel_just_past_its_tol),
+         call(test_cli.test_packed_refuses_before_any_analysis)],
+    ),
+    "compress_packed_unchecked": (
+        cli._cmd_compress,
+        "max_even_detail()) > 0:",
+        "max_even_detail()) > math.inf:",
+        [call(test_cli.test_compress_packed_refuses_nonzero_even_details)],
+    ),
 }
 
 
@@ -82,12 +99,12 @@ ROWS = [(name, check) for name, (*_, checks) in MUTANTS.items() for check in che
 
 
 @pytest.mark.parametrize("name, check", ROWS, ids=[f"{n}-{c.__name__}" for n, c in ROWS])
-def test_the_named_check_catches_the_mutant(name, check, monkeypatch):
+def test_the_named_check_catches_the_mutant(name, check, monkeypatch, tmp_path, capsys):
     function, old, new, _ = MUTANTS[name]
     patch(monkeypatch, function, old, new)
     selftest._kern.cache_clear()  # kernels built before the patch must not answer
     try:
         with pytest.raises((AssertionError, EvenRevError)):
-            check()
+            check(tmp_path=tmp_path, capsys=capsys, monkeypatch=monkeypatch)
     finally:
         selftest._kern.cache_clear()

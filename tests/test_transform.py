@@ -563,8 +563,9 @@ def test_pyramid_copies_what_it_is_given():
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-9, 1e-10, 1e-11, 1e-12])
 def test_kernel_even_details_stay_under_the_packed_limit(tol):
-    # the premise of `decompose --packed` in kernel mode: a kernel of residual tol
-    # leaves even details of at most 1.01 * tol * max|c_l| plus a rounding floor
+    # the bound `decompose --packed` rests on in kernel mode: even details are
+    # (delta - ev * g) * c_l, so a kernel of residual tol leaves at most
+    # tol * max|c_l| (here with 1 % and a rounding floor to spare)
     x = np.linspace(0, 1, 4096, endpoint=False)
     rng = np.random.default_rng(3)
     signal = np.sin(6 * np.pi * x) + (x > 0.4) + 0.01 * rng.standard_normal(x.size)
