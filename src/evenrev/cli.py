@@ -73,20 +73,21 @@ def _load_config(path: str | None) -> RunConfig:
     return cfg.validate()
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(pieces, out: str | None) -> None:
+    """Stream the text ``pieces`` to the file ``out``, or to stdout without one."""
     if out:
-        serialize.write_text_atomic(out, text)
+        serialize.write_pieces_atomic(out, pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _emit(obj, out: str | None) -> None:
-    _write(serialize.dump_json(obj), out)
+    _write(serialize.json_pieces(obj), out)
 
 
 def _emit_rows(report, args) -> int:
     """Report rows as CSV to ``--out`` (or stdout), the whole report to ``--json``."""
-    _write(serialize.rows_to_csv_text(report.rows), args.out)
+    _write((serialize.rows_to_csv_text(report.rows),), args.out)
     if args.json:
         _emit(dataclasses.asdict(report), args.json)
     return 0
@@ -164,7 +165,7 @@ def _cmd_decompose(args, cfg: RunConfig) -> int:
 def _cmd_reconstruct(args, cfg: RunConfig) -> int:
     mask = _load_mask(args.mask)
     pyramid = serialize.pyramid_from_obj(serialize.load_json(args.pyramid))
-    _write(serialize.signal_to_csv_text(reconstruct(pyramid, mask)), args.out)
+    _write(serialize.signal_csv_pieces(reconstruct(pyramid, mask)), args.out)
     return 0
 
 

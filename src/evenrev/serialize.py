@@ -3,11 +3,12 @@
 JSON floats are written as their shortest round-trip ``repr`` and CSV
 samples with 17 significant decimal digits; both round-trip 64-bit values
 exactly.  Rational masks are stored as parallel numerator and denominator
-arrays and round-trip losslessly.  All writers go through a
-temp-file-plus-rename so readers never observe partial files.  Readers
-validate what they load: malformed JSON, a missing or mistyped field and a
-non-finite number raise :class:`~evenrev.errors.ParameterError` naming the
-file or the field.
+arrays and round-trip losslessly.  Writers yield their text in pieces of at
+most :data:`PIECE` numbers, so no whole file is held in memory, and files
+are written through a temp-file-plus-rename so readers never observe
+partial files.  Readers validate what they load: malformed JSON, a missing
+or mistyped field and a non-finite number raise
+:class:`~evenrev.errors.ParameterError` naming the file or the field.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 import os
 import stat
 import tempfile
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -34,13 +36,20 @@ __all__ = [
     "kernel_from_obj",
     "pyramid_to_obj",
     "pyramid_from_obj",
+    "signal_csv_pieces",
     "signal_to_csv_text",
     "signal_from_csv_text",
     "rows_to_csv_text",
+    "json_pieces",
     "dump_json",
+    "write_pieces_atomic",
     "write_text_atomic",
     "load_json",
 ]
+
+#: Numbers formatted per piece of streamed text (about 90 kB of JSON or CSV);
+#: CSV is parsed in slices of about as many samples.
+PIECE = 4096
 
 
 def _float_list(values) -> list[float]:
@@ -234,16 +243,36 @@ def pyramid_from_obj(obj: dict) -> Pyramid:
 # ---------------------------------------------------------------------------
 
 
+def signal_csv_pieces(c) -> Iterator[str]:
+    """One value per line, 17 significant digits (a lone newline when empty),
+    :data:`PIECE` values at a time."""
+    values = np.asarray(c, dtype=float)
+    if not values.size:
+        yield "\n"
+    for start in range(0, values.size, PIECE):
+        chunk = values[start:start + PIECE].tolist()
+        yield ("%.17g\n" * len(chunk)) % tuple(chunk)
+
+
 def signal_to_csv_text(c) -> str:
-    """One value per line, 17 significant digits (a lone newline when empty)."""
-    values = np.asarray(c, dtype=float).tolist()
-    return ("%.17g\n" * len(values)) % tuple(values) or "\n"
+    """:func:`signal_csv_pieces` joined."""
+    return "".join(signal_csv_pieces(c))
 
 
 def signal_from_csv_text(text: str) -> np.ndarray:
-    """One finite sample per line; a bad entry raises naming its 1-based line."""
+    """One finite sample per line; a bad entry raises naming its 1-based line.
+
+    The text is split in slices that end at a newline, about :data:`PIECE`
+    samples each, so no token list of the whole file is built.
+    """
+    parts, start = [], 0
     try:
-        values = np.array([float(tok) for tok in text.split()])
+        while start < len(text):
+            # a sample written as %.17g takes at most 24 characters and its newline
+            end = text.find("\n", start + 24 * PIECE) + 1 or len(text)
+            parts.append(np.fromiter(map(float, text[start:end].split()), dtype=float))
+            start = end
+        values = np.concatenate(parts) if parts else np.empty(0)
     except ValueError:
         values = None
     if values is None or not np.all(np.isfinite(values)):
@@ -281,41 +310,51 @@ def rows_to_csv_text(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _encode(obj, pad: str) -> str:
-    """``json.dumps(obj, indent=2)`` for ``obj`` nested at indentation ``pad``.
+def _encode(obj, pad: str) -> Iterator[str]:
+    """``json.dumps(obj, indent=2)`` in pieces, for ``obj`` nested at indentation ``pad``.
 
-    A list of finite plain floats is one ``join`` of their ``repr``s, the text
-    ``json`` writes for each; every other scalar goes through ``json.dumps``,
-    and a dict with a key that is not a string through ``json.dumps`` whole.
+    A list of finite plain floats is joined from their ``repr``s, the text
+    ``json`` writes for each, :data:`PIECE` items at a time.  Any other
+    nonempty list, and a nonempty dict with string keys, yields its items one
+    by one; everything else, a dict with a key that is not a string included,
+    goes through ``json.dumps`` whole.
     """
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = pad + "  "
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)) and obj:
         if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
-            items = map(float.__repr__, obj)
-        else:
-            items = (_encode(v, inner) for v in obj)
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        if not all(isinstance(k, str) for k in obj):
-            return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
-        inner = pad + "  "
-        items = (f"{json.dumps(k)}: {_encode(v, inner)}" for k, v in obj.items())
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
-    return json.dumps(obj)
+            sep = f",\n{inner}"
+            for start in range(0, len(obj), PIECE):
+                yield (sep if start else f"[\n{inner}") + sep.join(
+                    map(float.__repr__, obj[start:start + PIECE]))
+            yield f"\n{pad}]"
+            return
+        brackets, items = "[]", (("", v) for v in obj)
+    elif isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        brackets, items = "{}", ((f"{json.dumps(k)}: ", v) for k, v in obj.items())
+    else:
+        yield json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+        return
+    for i, (key, value) in enumerate(items):
+        yield f"{',' if i else brackets[0]}\n{inner}{key}"
+        yield from _encode(value, inner)
+    yield f"\n{pad}{brackets[1]}"
+
+
+def json_pieces(obj) -> Iterator[str]:
+    """The text of :func:`dump_json` in pieces, none longer than :data:`PIECE` numbers."""
+    yield from _encode(obj, "")
+    yield "\n"
 
 
 def dump_json(obj) -> str:
     """``json.dumps(obj, indent=2) + "\\n"``, character for character, but with
     lists of floats formatted in C rather than item by item in Python."""
-    return _encode(obj, "") + "\n"
+    return "".join(json_pieces(obj))
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so the target is never partial.
+def write_pieces_atomic(path: str, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` one after another via a sibling temp file and rename, so
+    the target is never partial: if ``pieces`` raises, the target is untouched.
 
     As with a plain ``open(path, "w")``, a symlink is written through to the
     file it names, an existing file keeps its permission bits, and a new
@@ -332,12 +371,17 @@ def write_text_atomic(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             os.chmod(tmp, mode)  # mkstemp creates 0600
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_text_atomic(path: str, text: str) -> None:
+    """:func:`write_pieces_atomic` of one piece."""
+    write_pieces_atomic(path, (text,))
 
 
 def load_json(path: str):

@@ -18,7 +18,7 @@ from evenrev.masks import pseudo_spline_mask
 from evenrev.transform import decompose
 from evenrev.serialize import (
     dump_json, kernel_from_obj, kernel_to_obj, load_json, mask_from_obj, mask_to_obj,
-    pyramid_to_obj, signal_from_csv_text, write_text_atomic,
+    PIECE, pyramid_to_obj, signal_from_csv_text, write_text_atomic,
 )
 
 
@@ -97,6 +97,25 @@ def test_decompose_reconstruct_roundtrip(quadratic_mask, tmp_path):
     ) == 0
     back = signal_from_csv_text(out_path.read_text())
     assert np.max(np.abs(back - signal)) < 1e-10
+
+
+def test_streamed_output_is_the_same_on_stdout_and_in_a_file(quadratic_mask, tmp_path, capsys):
+    # longer than one piece, so each level's text is written in several
+    signal = np.random.default_rng(11).uniform(-1, 1, 3 * PIECE)
+    sig_path = tmp_path / "signal.csv"
+    sig_path.write_text("".join("%.17g\n" % v for v in signal))
+    argv = ["decompose", "--signal", str(sig_path), "--mask", str(quadratic_mask), "--levels", "3"]
+    out = tmp_path / "pyramid.json"
+    assert run(*argv, "--out", str(out)) == 0
+    assert run(*argv) == 0
+    printed = capsys.readouterr().out
+    pyramid = decompose(signal, mask_from_obj(load_json(str(quadratic_mask))), 3)
+    assert out.read_text() == printed == dump_json(pyramid_to_obj(pyramid))
+    back = tmp_path / "back.csv"
+    assert run("reconstruct", "--pyramid", str(out), "--mask", str(quadratic_mask),
+               "--out", str(back)) == 0
+    assert run("reconstruct", "--pyramid", str(out), "--mask", str(quadratic_mask)) == 0
+    assert back.read_text() == capsys.readouterr().out
 
 
 def test_decompose_kernel_mode_and_packed(quadratic_mask, tmp_path):
@@ -497,6 +516,19 @@ def test_non_text_signal_exits_without_traceback(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: validation: {signal} is not a text file")
     assert proc.stdout == ""
+
+
+def test_a_non_text_byte_past_a_csv_slice_is_one_validation_line(tmp_path, capsys):
+    mask = tmp_path / "cubic.json"
+    mask.write_text(CUBIC)
+    signal = tmp_path / "bad.csv"
+    signal.write_bytes(b"1.0\n" * (8 * PIECE) + b"\xff\xfe\n2.0\n")  # 32 * PIECE bytes first
+    out = tmp_path / "p.json"
+    assert run("decompose", "--signal", str(signal), "--mask", str(mask), "--levels", "1",
+               "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: validation: {signal} is not a text file") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def _signal_file(tmp_path, n, seed):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import stat
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -19,7 +21,9 @@ from evenrev import (
 )
 from evenrev.inverse import DecayCertificate, Kernel, even_inverse_spectral
 from evenrev.serialize import (
+    PIECE,
     dump_json,
+    json_pieces,
     kernel_from_obj,
     kernel_to_obj,
     load_json,
@@ -28,8 +32,10 @@ from evenrev.serialize import (
     pyramid_from_obj,
     pyramid_to_obj,
     rows_to_csv_text,
+    signal_csv_pieces,
     signal_from_csv_text,
     signal_to_csv_text,
+    write_pieces_atomic,
     write_text_atomic,
 )
 
@@ -349,3 +355,105 @@ def test_signal_csv_text_matches_17_digit_format(values):
     want = "\n".join(format(float(v), ".17g") for v in values) + "\n"
     assert signal_to_csv_text(values) == want
     assert signal_to_csv_text(np.array(values, dtype=float)) == want
+
+
+# ---------------------------------------------------------------------------
+# streamed writers: the same bytes, in pieces of at most PIECE numbers
+# ---------------------------------------------------------------------------
+
+STREAM_LENGTHS = [0, 1, PIECE - 1, PIECE, PIECE + 1, 2 * PIECE + 1]
+
+
+def _floats(n: int, seed: int) -> list[float]:
+    """``n`` floats of every magnitude, led by -0.0, 5e-324 and 1e308."""
+    rng = np.random.default_rng(seed)
+    values = (rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)).tolist()
+    values[:3] = [-0.0, 5e-324, 1e308][:n]
+    return values
+
+
+@pytest.mark.parametrize("n", STREAM_LENGTHS)
+def test_streamed_json_and_csv_keep_their_bytes(n):
+    values = _floats(n, n)
+    # a pyramid's shape: coarse data one level deep, details two levels deep
+    obj = {"mask_id": "m", "levels": 2, "coarse": values,
+           "details": [_floats(n, n + 1), values], "packed": False}
+    pieces = list(json_pieces(obj))
+    assert "".join(pieces) == dump_json(obj) == json.dumps(obj, indent=2) + "\n"
+    assert max(piece.count("\n") for piece in pieces) <= PIECE  # no more than PIECE numbers
+    pieces = list(signal_csv_pieces(values))
+    want = "".join("%.17g\n" % v for v in values) or "\n"
+    assert "".join(pieces) == signal_to_csv_text(values) == want
+    assert max(piece.count("\n") for piece in pieces) <= PIECE
+
+
+def test_an_empty_signal_is_one_newline():
+    assert list(signal_csv_pieces(np.zeros(0))) == ["\n"]
+
+
+def _broken_pieces():
+    yield "partial"
+    raise RuntimeError("encoder failed")
+
+
+def test_a_failing_stream_leaves_the_target_as_it_was(tmp_path):
+    old = tmp_path / "old.json"
+    old.write_text("kept\n")
+    os.chmod(old, 0o640)
+    new = tmp_path / "new.json"
+    for target in (old, new):
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            write_pieces_atomic(str(target), _broken_pieces())
+    assert old.read_text() == "kept\n" and stat.S_IMODE(old.stat().st_mode) == 0o640
+    assert not new.exists()
+    assert sorted(os.listdir(tmp_path)) == ["old.json"]  # no .evenrev-*.tmp is left
+
+
+def _parse_whole(text: str) -> np.ndarray:
+    """The parser before slicing: one token list of the whole text."""
+    return np.array([float(tok) for tok in text.split()])
+
+
+# a line longer than a whole slice (24 * PIECE characters): the slice that reaches into it
+# runs on to its end
+LONG_LINE = " ".join(["0.25"] * (6 * PIECE)) + "\n"
+
+
+@pytest.mark.parametrize("text", [
+    "1.0\r\n2.5\r\n-3e-300\r\n",
+    "\n\n1.0\n\n\n2.0\n\n",
+    "1.0 2.0\t3.0\n4.0   5.0\n",
+    "1.0\n2.0",
+    LONG_LINE + "1.5\n" + LONG_LINE.rstrip("\n"),
+    "".join("%.17g\r\n" % v for v in _floats(3 * PIECE, 7)),
+    "".join("%.17g\n\n" % v for v in _floats(3 * PIECE, 8)),
+])
+def test_sliced_csv_parsing_matches_the_whole_text_parse(text):
+    assert signal_from_csv_text(text).tobytes() == _parse_whole(text).tobytes()
+
+
+@pytest.mark.parametrize("bad", ["abc", "nan", "-inf", "1e999", "1.0,2.0"])
+@pytest.mark.parametrize("sep", ["\n", "\r\n"])
+def test_a_bad_sample_past_the_first_slice_names_its_line(bad, sep):
+    lines = ["%.17g" % v for v in _floats(3 * PIECE, 9)]
+    lineno = 2 * PIECE + 17  # 1-based, in the second slice at least
+    lines[lineno - 1] = bad
+    with pytest.raises(ParameterError, match=f"signal line {lineno}: '{bad}' is not a finite"):
+        signal_from_csv_text(sep.join(lines) + sep)
+
+
+def test_streaming_writers_hold_no_whole_file(tmp_path):
+    # 2**18 samples: the 2**18 coefficients of an exact pyramid, and a signal's CSV
+    signal = np.random.default_rng(4).uniform(-1.0, 1.0, 1 << 18)
+    obj = pyramid_to_obj(decompose(signal, bspline_mask(4), 8), packed=True)
+    for write in (lambda path: write_pieces_atomic(path, json_pieces(obj)),
+                  lambda path: write_pieces_atomic(path, signal_csv_pieces(signal))):
+        path = str(tmp_path / "out")
+        tracemalloc.start()
+        try:
+            write(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole text of either file is over 5 MB; the pieces of one stay under 1 MB
+        assert os.path.getsize(path) > 5e6 and peak < 4e6, peak
