@@ -31,9 +31,9 @@ Conventions (used consistently everywhere):
 * difference    ``(diff c)_k = c_{k+1} - c_k``
 
 Upscaling runs in polyphase form, ``(S_m c)_{2k} = (ev * c)_k`` and
-``(S_m c)_{2k+1} = (od * c)_k``: two short periodic convolutions at the coarse
-period by the primitive of :func:`circular_convolve`, which wraps each row by
-slicing (one ``np.concatenate``) and correlates the rows laid end to end.
+``(S_m c)_{2k+1} = (od * c)_k``: one private primitive wraps each row once (one
+``np.concatenate``) for both parts and correlates each against the wrapped rows
+laid end to end; :func:`circular_convolve` is its one-part case.
 
 Symbols are sampled on the circle only by :func:`symbol_on_circle`, at the
 points ``z_j = exp(-2*pi*i*j/n)`` of :func:`unit_circle`: ``z_j**k`` depends on
@@ -160,6 +160,10 @@ class Mask:
     def polyphase(self) -> tuple:
         """``(even_part(self), odd_part(self))``, split once per instance."""
         return even_part(self), odd_part(self)
+
+    # the wrap geometry of circular_convolve and of subdivide, computed once per instance
+    _convolution = cached_property(lambda self: _geometry(self))
+    _upscaling = cached_property(lambda self: _geometry(*self.polyphase))
 
     # -- algebra -----------------------------------------------------------
 
@@ -311,29 +315,45 @@ def downsample(c) -> np.ndarray:
     return c[..., ::2].copy()
 
 
-def _periodic_convolve(offset: int, w: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``out_k = sum_i w_i c_{k-offset-i mod N}`` along the last axis of validated ``c``."""
-    if not w.size:
-        return np.zeros(c.shape)
+def _geometry(*parts: Mask) -> tuple:
+    """``(first, extra, parts)`` of the parts ``out_k = sum_i w_i c_{k-o-i}``: all read inside
+    ``c_{k+first} .. c_{k+first+extra}``, part ``p`` from ``skip`` on, with ``parts[p] =
+    (skip, w reversed and contiguous)``, or None for an empty ``w``."""
+    lows = [-p.offset - len(p.coeffs) + 1 for p in parts]
+    first = min((low for low, p in zip(lows, parts) if p.coeffs), default=0)
+    extra = max((-p.offset for p in parts if p.coeffs), default=0) - first
+    return first, extra, tuple((low - first, np.ascontiguousarray(p.floats[::-1])) if p.coeffs
+                               else None for low, p in zip(lows, parts))
+
+
+def _polyphase(geometry: tuple, c: np.ndarray) -> list:
+    """Each part of :func:`_geometry` along the last axis of validated ``c``, in order."""
+    first, extra, parts = geometry
     n = c.shape[-1]
-    # Wrap each row once into the N + len(w) - 1 samples the sum reads: the
-    # tail from the folded start, whole periods, then a head, laid end to end
-    # by slicing.  Whole periods cover a support longer than the period, and
-    # folding the start with Python ints first admits any integer offset.
-    start = (-offset - w.size + 1) % n
-    whole, rest = divmod(start + w.size - 1, n)
+    # Wrap each row once into the N + extra samples the parts read: the tail from the
+    # folded start, whole periods (for a support longer than the period), then a head.
+    # Folding the start with Python ints first admits any integer offset.
+    start = first % n
+    whole, rest = divmod(start + extra, n)
     wrapped = np.concatenate([c[..., start:], *[c] * whole, c[..., :rest]], axis=-1)
-    # One convolution over the rows laid end to end (np.convolve(a, w) is this
-    # correlation, less the argument checks).  Row r's outputs start where its
-    # wrapped samples do, and its first N read only that row, each the same
-    # length-L dot product as for the row alone.
-    full = np.correlate(wrapped.ravel(), w[::-1], "valid")
-    return np.ndarray(c.shape, full.dtype, full, 0, wrapped.strides)
+    # One correlation per part over the rows laid end to end (np.convolve(a, w) is
+    # this correlation, less the argument checks).  Row r's outputs start where its
+    # window does, and its first N read only that row, each the same dot product as
+    # for the row alone.  An empty part reads nothing and gives zeros.
+    flat, out = wrapped.ravel(), []
+    for part in parts:
+        if part is None:
+            out.append(np.zeros(c.shape))
+        else:
+            skip, taps = part
+            full = np.correlate(flat[skip:flat.size - extra + skip + taps.size - 1], taps, "valid")
+            out.append(np.ndarray(c.shape, full.dtype, full, 0, wrapped.strides))
+    return out
 
 
 def circular_convolve(m: Mask, c) -> np.ndarray:
     """Periodic convolution ``(m * c)_k = sum_l m_l c_{k-l mod N}``."""
-    return _periodic_convolve(m.offset, m.floats, _signal(c))
+    return _polyphase(m._convolution, _signal(c))[0]
 
 
 def subdivide(m: Mask, c) -> np.ndarray:
@@ -343,10 +363,8 @@ def subdivide(m: Mask, c) -> np.ndarray:
     the odd part the odd ones, each a periodic convolution at period ``N``.
     """
     c = _signal(c)
-    ev, od = m.polyphase
     out = np.empty(c.shape[:-1] + (2 * c.shape[-1],))
-    out[..., 0::2] = _periodic_convolve(ev.offset, ev.floats, c)
-    out[..., 1::2] = _periodic_convolve(od.offset, od.floats, c)
+    out[..., 0::2], out[..., 1::2] = _polyphase(m._upscaling, c)
     return out
 
 

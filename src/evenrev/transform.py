@@ -55,11 +55,11 @@ from .inverse import Kernel, even_inverse_spectral
 from .laurent import (
     GUARD,
     Mask,
+    _polyphase,
     _signal,
     as_signal,
     circular_convolve,
     downsample,
-    subdivide,
     symbol_on_circle,
 )
 from .masks import is_interpolatory
@@ -194,8 +194,10 @@ def _analysis(c, alpha: Mask, levels: int, mode: str, kernel: Kernel | None, gua
     halve = _halving(alpha, n, mode, kernel, guard)
     for level in range(levels):
         coarse = halve(c[..., ::2], level)  # a view, not a copy: nothing here writes into c
-        if mode == "kernel":  # the paper's detail c - S(coarse)
-            d = c - subdivide(alpha, coarse)
+        if mode == "kernel":  # the paper's detail c - S(coarse), written slot by slot
+            d = np.empty(c.shape)
+            for slot, part in enumerate(_polyphase(alpha._upscaling, coarse)):
+                np.subtract(c[..., slot::2], part, out=d[..., slot::2])
         else:
             d = c[..., 1::2] - circular_convolve(alpha.polyphase[1], coarse)
         yield c, d
@@ -227,12 +229,18 @@ def decompose(
 
 
 def reconstruct(p: Pyramid, alpha: Mask) -> np.ndarray:
-    """Synthesis ``c_l = S_alpha(c_{l-1}) + d_l`` into a new array, inverting :func:`decompose`."""
-    c = p.coarse  # read only: each level's subdivide makes a new array
+    """Synthesis ``c_l = S_alpha(c_{l-1}) + d_l`` into a new array, inverting :func:`decompose`:
+    ``d_l`` is added as the polyphase slots are written, to the odd ones of an odd half."""
+    c = p.coarse  # read only: each level writes a new array
     for d, full in p._full():
-        c = subdivide(alpha, c)
-        slots = c if full else c[..., 1::2]
-        slots += d  # in place: no array, and no copy back
+        ev, od = _polyphase(alpha._upscaling, c)
+        c = np.empty(c.shape[:-1] + (2 * c.shape[-1],))
+        if full:
+            np.add(ev, d[..., 0::2], out=c[..., 0::2])
+            np.add(od, d[..., 1::2], out=c[..., 1::2])
+        else:
+            c[..., 0::2] = ev
+            np.add(od, d, out=c[..., 1::2])
     return c if p.levels else np.array(c)
 
 

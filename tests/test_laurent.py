@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from evenrev import (
     LengthError,
     ParameterError,
+    Pyramid,
     circular_convolve,
     convolve,
     delta,
@@ -22,12 +23,20 @@ from evenrev import (
     norm_l1,
     norm_linf,
     odd_part,
+    reconstruct,
     subdivide,
     sup_norm_on_circle,
     upsample,
     upsample_mask,
 )
-from evenrev.laurent import Mask, _periodic_convolve, abs_moment, symbol_on_circle, unit_circle
+from evenrev.laurent import (
+    Mask,
+    _geometry,
+    _polyphase,
+    abs_moment,
+    symbol_on_circle,
+    unit_circle,
+)
 from evenrev.masks import bspline_mask
 
 
@@ -69,12 +78,29 @@ def direct_circle_sum(mask, n):
 
 
 def take_periodic_convolve(offset, w, c):
-    """The periodic convolution with rows wrapped by ``take(..., mode="wrap")``."""
+    """The periodic convolution with rows wrapped by ``take(..., mode="wrap")``, each
+    row by itself."""
+    if not w.size:
+        return np.zeros(c.shape)
     n = c.shape[-1]
     start = (-offset - w.size + 1) % n
     wrapped = c.take(np.arange(start, start + n + w.size - 1), axis=-1, mode="wrap")
     full = np.correlate(wrapped.ravel(), w[::-1], "valid")
     return np.ndarray(c.shape, full.dtype, full, 0, wrapped.strides)
+
+
+def direct_convolve(mask, c):
+    """``out_k = sum_i m_i c_{k-o-i mod N}`` along the last axis, one term at a time from
+    0.0, every index reduced by Python's ``%``: the definition, with no wrapped copy."""
+    n = c.shape[-1]
+    out = np.zeros(c.shape)
+    for row in np.ndindex(c.shape[:-1]):
+        for k in range(n):
+            acc = 0.0
+            for i, w in enumerate(mask.coeffs):
+                acc += float(w) * c[row + ((k - mask.offset - i) % n,)]
+            out[row + (k,)] = acc
+    return out
 
 
 def naive_circular_convolve(mask, c):
@@ -555,11 +581,81 @@ def test_offsets_fold_modulo_the_period(periods):
 @example(-3, [0.5] * 7, (4,), 1, False)  # six whole periods of a 1-sample row
 @example(10**30, [0.25] * 11, (3,), 3, True)  # whole periods at a far offset, strided rows
 @example(-(10**30), [0.5] * 13, (2, 2), 4, False)
+@example(0, [5e-324, 0.0, 2.0], (2,), 3, False)  # subnormal taps, an empty odd part
 def test_slice_wrap_equals_the_take_oracle(offset, taps, lead, n, strided):
-    # supports up to 40 taps against periods down to 1 wrap many whole periods
+    # supports up to 40 taps against periods down to 1 wrap many whole periods, for
+    # the mask alone and for its two polyphase parts read from one wrapped row
     rng = np.random.default_rng(len(taps) * 100 + n)
     c = rng.uniform(-1, 1, lead + (2 * n,))[..., ::2] if strided else rng.uniform(-1, 1, lead + (n,))
-    w = np.asarray(taps)
-    got = _periodic_convolve(offset, w, c)
-    assert got.shape == c.shape
-    assert got.tobytes() == take_periodic_convolve(offset, w, c).tobytes()
+    m = Mask(offset, tuple(taps))
+    for parts in ([m], m.polyphase):
+        got = _polyphase(_geometry(*parts), c)
+        assert len(got) == len(parts)
+        for part, out in zip(parts, got):
+            assert out.shape == c.shape
+            assert out.tobytes() == take_periodic_convolve(part.offset, part.floats, c).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the polyphase primitive against the definitions
+# ---------------------------------------------------------------------------
+
+
+def _parity_masks(offset, taps):
+    """The mask of ``taps`` at ``offset``, and its restrictions to even and to odd indices."""
+    keep = lambda parity: [w if (offset + i) % 2 == parity else 0.0 for i, w in enumerate(taps)]
+    return [Mask(offset, tuple(t)) for t in (taps, keep(0), keep(1))]
+
+
+# far offsets reach the period only through Python's modulo; 13 taps exceed every period
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_polyphase_matches_the_direct_sum(n):
+    rng = np.random.default_rng(n)
+    c = rng.uniform(-1, 1, (2, 3, n))
+    c[rng.uniform(size=c.shape) < 0.3] = -0.0
+    for offset in (0, -1, 4, 37, -41, 10**30 + 1, -(10**30) - 3):
+        for size in (1, 2, 5, 13):
+            taps = rng.uniform(-2, 2, size).tolist()
+            for m in _parity_masks(offset, taps):  # whole, empty odd part, empty even part
+                tol = 1e-13 * max(norm_l1(m), 1.0)
+                sub, conv = subdivide(m, c), circular_convolve(m, c)
+                for row in np.ndindex(c.shape[:-1]):  # a batch's rows are their 1-D calls
+                    assert sub[row].tobytes() == subdivide(m, c[row]).tobytes()
+                    assert conv[row].tobytes() == circular_convolve(m, c[row]).tobytes()
+                    assert np.max(np.abs(sub[row] - brute_subdivide(m, c[row]))) <= tol
+                assert np.max(np.abs(conv - direct_convolve(m, c))) <= tol
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_negative_zeros_give_the_direct_sums_positive_zeros(n):
+    # every product of -0.0 is a zero, and a sum from 0.0 of zeros is +0.0
+    c = np.full((2, 3, n), -0.0)
+    for m in (delta(1.0), Mask(-2, (0.5, -0.25, 1.0)), Mask(3, (1.0,) * 13), Mask(1, (2.0,))):
+        assert subdivide(m, c).tobytes() == np.zeros((2, 3, 2 * n)).tobytes()
+        assert circular_convolve(m, c).tobytes() == direct_convolve(m, c).tobytes()
+
+
+def subdivide_then_add(p, alpha):
+    """Synthesis as ``subdivide`` followed by ``+=`` into the slots each level covers."""
+    c = p.coarse
+    for d in p.stored:
+        c = subdivide(alpha, c)
+        slots = c if d.shape[-1] == c.shape[-1] else c[..., 1::2]
+        slots += d
+    return c
+
+
+@pytest.mark.parametrize("lead", [(), (2, 3)])
+def test_reconstruct_adds_the_details_as_subdivide_then_add_would(lead):
+    rng = np.random.default_rng(len(lead))
+    coarse = rng.uniform(-1, 1, lead + (4,))
+    coarse[..., 0] = -0.0
+    stored = []
+    for level, full in enumerate([False, True, False, True], start=1):  # odd halves and full levels
+        d = rng.uniform(-1, 1, lead + (4 << level if full else 2 << level,))
+        d[rng.uniform(size=d.shape) < 0.3] = -0.0
+        stored.append(d)
+    p = Pyramid._of(coarse, stored, "test")
+    masks = (bspline_mask(4), bspline_mask(3), delta(1.0), Mask(1, (0.5,)), Mask(-3, (0.25,) * 13))
+    for alpha in masks:  # whole, an empty odd part, an empty even part, longer than a period
+        assert reconstruct(p, alpha).tobytes() == subdivide_then_add(p, alpha).tobytes()

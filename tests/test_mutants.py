@@ -16,7 +16,8 @@ import pytest
 
 import test_cli
 import test_inverse
-from evenrev import cli, inverse, selftest
+import test_laurent
+from evenrev import cli, inverse, laurent, selftest
 from evenrev.errors import EvenRevError
 
 
@@ -78,6 +79,18 @@ MUTANTS = {
         "max_even_detail()) > 0:",
         "max_even_detail()) > math.inf:",
         [call(test_cli.test_compress_packed_refuses_nonzero_even_details)],
+    ),
+    "polyphase_parts_swapped": (
+        laurent._polyphase,
+        "for part in parts:",
+        "for part in parts[::-1]:",
+        [criterion("6"), criterion("7"), call(test_laurent.test_polyphase_matches_the_direct_sum, 5)],
+    ),
+    "wrap_start_off_by_one": (
+        laurent._polyphase,
+        "start = first % n",
+        "start = (first + 1) % n",
+        [criterion("6"), criterion("7"), call(test_laurent.test_polyphase_matches_the_direct_sum, 5)],
     ),
 }
 

@@ -35,7 +35,7 @@ from evenrev import (
     upsample,
     upsample_mask,
 )
-from evenrev.laurent import GUARD, _periodic_convolve, circular_convolve, symbol_on_circle
+from evenrev.laurent import GUARD, circular_convolve, symbol_on_circle
 from evenrev.transform import MODES, _analysis, _halving
 
 
@@ -427,7 +427,7 @@ def level_loop_before_the_generator(c, alpha, levels, mode, kernel):
         coarse = halve(c[..., ::2], level)
         if mode == "exact":
             detail = np.zeros(c.shape)
-            odd = _periodic_convolve(od.offset, od.floats, coarse)
+            odd = circular_convolve(od, coarse)
             np.subtract(c[..., 1::2], odd, out=detail[..., 1::2])
         else:
             detail = subdivide(alpha, coarse)
