@@ -17,10 +17,8 @@ import numpy as np
 from .errors import ParameterError
 from .inverse import Kernel, even_inverse_spectral
 from .laurent import (
-    CIRCLE_SAMPLES,
-    GUARD,
     Mask,
-    _validated_samples,
+    _circle_grid,
     abs_moment,
     difference,
     even_part,
@@ -179,24 +177,23 @@ def decay_report(
     mode: str = "exact",
     kernel: Kernel | None = None,
     params: dict | None = None,
-    guard: float = GUARD,
 ) -> DecayReport:
     """Decompose a sampled test function and tabulate norms against bounds.
 
     Row ``l`` holds the sup norms of the level-``l`` difference and detail,
     the a-priori difference bound ``K * ||g||_1**(j-l) * 2**-l`` and the
     detail bound obtained by multiplying it with the combined moment
-    constant.  Level 0 has no detail.  ``guard`` is :func:`decompose`'s.
+    constant.  Level 0 has no detail.
     """
     if kernel is None:
-        kernel = even_inverse_spectral(alpha, guard=guard)
+        kernel = even_inverse_spectral(alpha)
     signal = sample_function(kind, levels, base, params)
     fprime = derivative_bound(kind, params)
     moments = filter_moment_constants(alpha, kernel)
     g1 = norm_l1(kernel)
 
     rows = []
-    steps = _analysis(signal, alpha, levels, mode, kernel, guard)  # finest level first
+    steps = _analysis(signal, alpha, levels, mode, kernel)  # finest level first
     for level, (c, d) in zip(range(levels, -1, -1), steps):
         bound_delta = fprime * g1 ** (levels - level) * 2.0 ** (-level)
         detail_norm = float(np.max(np.abs(d))) if level else None
@@ -251,15 +248,15 @@ def subdivision_norm_inf(alpha: Mask) -> float:
     return max(norm_l1(even_part(alpha)), norm_l1(odd_part(alpha)))
 
 
-def subdivision_norm_2(alpha: Mask, samples: int = CIRCLE_SAMPLES) -> float:
-    """Exact l2 operator norm of one upscaling step.
+def subdivision_norm_2(alpha: Mask) -> float:
+    """Exact l2 operator norm of one upscaling step, sampled on the circle grid.
 
     Equals the sup over the circle of ``sqrt((|alpha(z)|^2 + |alpha(-z)|^2)/2)``
     because upsampling spreads the spectrum over both half-circles.
     """
-    _validated_samples(alpha, samples)
-    vals = np.abs(symbol_on_circle(alpha, samples)) ** 2
-    shifted = np.roll(vals, samples // 2)  # |alpha(-z_j)|^2 = |alpha(z_{j+n/2})|^2
+    n = _circle_grid(alpha)
+    vals = np.abs(symbol_on_circle(alpha, n)) ** 2
+    shifted = np.roll(vals, n // 2)  # |alpha(-z_j)|^2 = |alpha(z_{j+n/2})|^2
     return float(np.sqrt(np.max((vals + shifted) / 2.0)))
 
 
@@ -345,7 +342,7 @@ def reconstruction_stability_experiment(
     rng = np.random.default_rng(seed)
     # row t holds trial t's draws in the order a trial at a time would make
     # them: the coarse data first, then each detail level
-    sizes = [pyramid.coarse.size] + [d.size for d in pyramid.details]
+    sizes = [pyramid.coarse.size << level for level in range(pyramid.levels + 1)]
     noise = _draw(rng, -perturbation, perturbation, (trials, sum(sizes)))
     dc, *dds = np.split(noise, np.cumsum(sizes)[:-1], axis=1)
     deviation = reconstruct(Pyramid(dc, dds, pyramid.mask_id), alpha)
@@ -372,8 +369,6 @@ def decomposition_stability_experiment(
     perturbation: float = 1e-3,
     mode: str = "exact",
     kernel: Kernel | None = None,
-    guard: float = GUARD,
-    samples: int = CIRCLE_SAMPLES,
 ) -> StabilityReport:
     """Perturb input data and check the analysis stability bounds in ``l_p``.
 
@@ -381,17 +376,16 @@ def decomposition_stability_experiment(
     and by ``max |g(z)| = 1 / min |ev(z)|`` for ``p = 2``; details use the
     additional factor ``1 + ||S|| * ||D||``.  Each trial verifies both the
     coarse-data inequality and the per-level detail inequalities, and
-    records the worst measured-to-bound margin.  ``guard`` is :func:`decompose`'s;
-    ``samples`` is the circle grid of the ``p = 2`` norms and of a default kernel.
+    records the worst measured-to-bound margin.
     """
     _check_trials(trials, perturbation)
     p = _norm_order(p)
     if p == 2:  # the bound needs no kernel; kernel mode without one builds its own
-        d_norm = 1.0 / min_modulus_on_circle(even_part(alpha), samples)
-        s_norm = subdivision_norm_2(alpha, samples)
+        d_norm = 1.0 / min_modulus_on_circle(even_part(alpha))
+        s_norm = subdivision_norm_2(alpha)
     else:
         if kernel is None:
-            kernel = even_inverse_spectral(alpha, guard=guard, samples=samples)
+            kernel = even_inverse_spectral(alpha)
         d_norm = norm_l1(kernel) + kernel.tol
         s_norm = subdivision_norm_inf(alpha)
     residual_norm = 1.0 + s_norm * d_norm
@@ -400,7 +394,7 @@ def decomposition_stability_experiment(
     draws = _draw(rng, -1.0, 1.0, (trials, 2, length))
     c = draws[:, 0]
     noise = draws[:, 1] * perturbation
-    both = decompose(np.concatenate([c, c + noise]), alpha, levels, mode, kernel, guard=guard)
+    both = decompose(np.concatenate([c, c + noise]), alpha, levels, mode, kernel)
     diffs = [both.coarse[trials:] - both.coarse[:trials]]
     diffs += [d[trials:] - d[:trials] for d in both.details]
     # one p-norm per trial from each array, bit for bit np.linalg.norm's of each row
@@ -452,18 +446,17 @@ def compression_experiment(
     alpha: Mask,
     levels: int,
     eps_grid,
-    guard: float = GUARD,
 ) -> CompressionReport:
     """Hard-threshold the details over a grid of cutoffs and tabulate errors.
 
     For each cutoff the report lists the surviving detail fraction, the sup
     reconstruction error against the original signal, and the stability
     budget ``K_sub * sum_l ||d_l - d_l(eps)||_inf`` that provably dominates
-    the error.  ``guard`` is :func:`decompose`'s.
+    the error.
     """
     # powers up to the depth bound every synthesis run here
     k_sub = estimate_subdivision_sup_norm(alpha, max_power=max(12, levels))
-    pyramid = decompose(signal, alpha, levels, guard=guard)
+    pyramid = decompose(signal, alpha, levels)
     baseline = reconstruct(pyramid, alpha)
     rows = []
     for eps in eps_grid:

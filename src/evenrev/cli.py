@@ -18,7 +18,7 @@ import numpy as np
 from . import analysis, selftest, serialize
 from .errors import EvenRevError, ParameterError
 from .inverse import even_inverse_spectral, inverse_residual_l1
-from .laurent import CIRCLE_SAMPLES, GUARD, INVERSE_TOL
+from .laurent import INVERSE_TOL
 from .masks import bspline_mask, dd_mask, pseudo_spline_mask
 from .transform import decompose, reconstruct, threshold_details
 
@@ -29,22 +29,13 @@ __all__ = ["RunConfig", "main"]
 class RunConfig:
     """Tunable defaults shared by the subcommands."""
 
-    circle_samples: int = CIRCLE_SAMPLES
-    guard_threshold: float = GUARD
     inverse_tol: float = INVERSE_TOL
     seed: int = 0
     mode: str = "exact"
 
     def validate(self) -> "RunConfig":
-        s = self.circle_samples
-        if s < 1024 or s > 1 << 24 or s & (s - 1):
-            raise ParameterError(f"circle_samples must be a power of two in [1024, 2**24], got {s}")
         if self.mode not in ("exact", "kernel"):
             raise ParameterError(f"unknown default mode {self.mode!r}")
-        if not 0 <= self.guard_threshold < math.inf:
-            raise ParameterError(
-                f"guard_threshold must be finite and >= 0, got {self.guard_threshold!r}"
-            )
         if not 0 < self.inverse_tol < math.inf:
             raise ParameterError(f"inverse_tol must be finite and > 0, got {self.inverse_tol!r}")
         if self.seed < 0:  # numpy's generators take no negative seed
@@ -143,9 +134,8 @@ def _resolve_kernel(args, mask, cfg: RunConfig):
 
 
 def _invert(mask, cfg: RunConfig, tol: float | None = None):
-    """The even-inverse at the configured guard, circle grid and (unless ``tol``) tolerance."""
-    return even_inverse_spectral(mask, cfg.inverse_tol if tol is None else tol,
-                                 cfg.guard_threshold, cfg.circle_samples)
+    """The even-inverse at ``tol``, or else at the configured tolerance."""
+    return even_inverse_spectral(mask, cfg.inverse_tol if tol is None else tol)
 
 
 def _cmd_decompose(args, cfg: RunConfig) -> int:
@@ -157,7 +147,7 @@ def _cmd_decompose(args, cfg: RunConfig) -> int:
         raise ParameterError(f"--packed refuses a kernel whose residual ||g*ev - delta||_1 = "
                              f"{r:.3e} exceeds its tol {kernel.tol:.3e}; write the pyramid "
                              "without --packed")
-    pyramid = decompose(signal, mask, args.levels, mode, kernel, args.mask_id, cfg.guard_threshold)
+    pyramid = decompose(signal, mask, args.levels, mode, kernel, args.mask_id)
     _emit(serialize.pyramid_to_obj(pyramid, packed=args.packed), args.out)
     return 0
 
@@ -182,25 +172,23 @@ def _cmd_compress(args, cfg: RunConfig) -> int:
 
 def _cmd_analyze(args, cfg: RunConfig) -> int:
     mask = _load_mask(args.mask)
-    guard = cfg.guard_threshold
     if args.analysis == "decay":
         mode, kernel = _resolve_kernel(args, mask, cfg)
         report = analysis.decay_report(
             args.fn, args.levels, args.base, mask, mode=mode,
-            kernel=_invert(mask, cfg) if kernel is None else kernel, guard=guard,
+            kernel=_invert(mask, cfg) if kernel is None else kernel,
         )
         return _emit_rows(report, args)
     if args.analysis == "stability":
         if args.stability_mode == "dec":
             report = analysis.decomposition_stability_experiment(
                 mask, p=args.p, trials=args.trials, seed=cfg.seed, perturbation=args.perturbation,
-                kernel=_invert(mask, cfg) if args.p == "inf" else None, guard=guard,
-                samples=cfg.circle_samples,
+                kernel=_invert(mask, cfg) if args.p == "inf" else None,
             )
         else:
             rng = np.random.default_rng(cfg.seed)
             signal = rng.uniform(-1.0, 1.0, 256)
-            pyramid = decompose(signal, mask, 6, guard=guard)
+            pyramid = decompose(signal, mask, 6)
             report = analysis.reconstruction_stability_experiment(
                 mask, pyramid, args.perturbation, args.trials, seed=cfg.seed
             )
@@ -216,7 +204,7 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
                 raise ParameterError(f"--eps-grid token {tok!r} is not a number") from None
         if not grid:
             raise ParameterError("--eps-grid must list at least one threshold")
-        report = analysis.compression_experiment(signal, mask, args.levels, grid, guard=guard)
+        report = analysis.compression_experiment(signal, mask, args.levels, grid)
         return _emit_rows(report, args)
     raise ParameterError(f"unknown analysis {args.analysis!r}")
 
@@ -237,7 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file overriding the defaults")
     parser.add_argument("--seed", type=int, help="seed for randomized commands")
-    parser.add_argument("--samples", type=int, help="circle sampling density")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mask", help="emit a catalog mask as JSON")
@@ -323,8 +310,6 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.samples is not None:
-            cfg.circle_samples = args.samples
         cfg.validate()  # again: the flags may override the config
         return args.handler(args, cfg)
     except EvenRevError as exc:

@@ -25,7 +25,7 @@ from .errors import (
     ParameterError,
     SlowDecayError,
 )
-from .laurent import CIRCLE_SAMPLES, GUARD, INVERSE_TOL, Mask, norm_l1, symbol_on_circle
+from .laurent import GUARD, INVERSE_TOL, Mask, _circle_grid, norm_l1, symbol_on_circle
 from .masks import _check_pseudo_spline, generalized_binomial
 
 __all__ = [
@@ -94,30 +94,35 @@ class EvenReversibility(NamedTuple):
     witness: complex
 
 
-def _even_symbol(alpha: Mask, samples: int, guard: float):
-    """``(ev, values, reversibility)`` from one sampling of the even symbol.
+def _reversibility(ev: Mask, n: int):
+    """``(values, reversibility)`` of ``ev`` at the ``n`` roots of unity: the one place that
+    decides whether ``|ev|`` is too small, ``<= GUARD``.
 
-    ``values`` holds ``ev(z_j)``, ``j = 0 .. n/2``, of an ``n``-point grid; the rest
-    are conjugates, so its moduli, real parts and ``|imag|`` are the whole grid's.
+    ``values`` holds ``ev(z_j)``, ``j = 0 .. n/2``; the rest are conjugates, so its moduli, real
+    parts and ``|imag|`` are the whole grid's.  The witness is the ``z_j`` of least modulus.
     """
-    ev = alpha.polyphase[0]
-    if ev.is_zero:
-        raise EvenReversibilityError("mask has identically zero even part")
-    n = max(samples, 4 * len(ev.coeffs))
     vals = symbol_on_circle(ev, n, half=True)
     mods = np.abs(vals)
     i = int(np.argmin(mods))
     witness = complex(np.exp(-2j * np.pi * i / n))
-    return ev, vals, EvenReversibility(bool(mods[i] > guard), float(mods[i]), witness)
+    return vals, EvenReversibility(bool(mods[i] > GUARD), float(mods[i]), witness)
+
+
+def _even_symbol(alpha: Mask):
+    """``(ev, values, reversibility)`` from one sampling of the even symbol on the circle grid."""
+    ev = alpha.polyphase[0]
+    if ev.is_zero:
+        raise EvenReversibilityError("mask has identically zero even part")
+    return (ev, *_reversibility(ev, _circle_grid(ev)))
 
 
 def check_even_reversible(alpha: Mask) -> EvenReversibility:
-    """Test ``|ev(z)| > GUARD`` on the ``CIRCLE_SAMPLES``-point unit-circle grid.
+    """Test ``|ev(z)| > GUARD`` on the circle grid of :mod:`evenrev.laurent`.
 
     Returns the minimum modulus and the grid point attaining it; raises
     :class:`EvenReversibilityError` when the even part is identically zero.
     """
-    return _even_symbol(alpha, CIRCLE_SAMPLES, GUARD)[2]
+    return _even_symbol(alpha)[2]
 
 
 def cubic_series_constants(kmax: int):
@@ -189,12 +194,7 @@ def _side_length(near: np.ndarray, far: np.ndarray, log_target: float) -> int:
         f"decay base {base:.10g} needs more than {_MAX_TAPS} coefficients on one side")
 
 
-def even_inverse_spectral(
-    alpha: Mask,
-    tol: float = INVERSE_TOL,
-    guard: float = GUARD,
-    samples: int = CIRCLE_SAMPLES,
-) -> Kernel:
+def even_inverse_spectral(alpha: Mask, tol: float = INVERSE_TOL) -> Kernel:
     """Invert the even part of ``alpha`` by factoring it at its roots.
 
     With ``a`` roots ``rho`` inside the circle and the roots ``R`` outside, ``1/ev`` is
@@ -203,16 +203,16 @@ def even_inverse_spectral(
     (the residual multiplies the dropped mass by up to ``||ev||_1``) fixes each side's
     length; the causal series runs to twice its cut, so kept coefficients are exact to
     rounding, and one Newton step ``g + g * (delta - ev * g)`` mends the roots' rounding.
-    Raises :class:`EvenReversibilityError` when ``|ev|`` reaches ``guard`` on the grid, and
+    Raises :class:`EvenReversibilityError` when ``|ev|`` reaches ``GUARD`` on the circle grid, and
     :class:`SlowDecayError` past 2**20 coefficients a side or a residual above ``tol``.
     """
     if not 0 < tol < math.inf:
         raise ParameterError(f"tol must be positive and finite, got {tol!r}")
-    ev, vals, rev = _even_symbol(alpha, samples, guard)  # the certificate reuses vals
+    ev, vals, rev = _even_symbol(alpha)  # the certificate reuses vals
     if not rev.ok:
         raise EvenReversibilityError(
             f"even symbol modulus {rev.min_modulus:.3e} at z={rev.witness:.6f} "
-            f"is below the guard {guard:.1e}"
+            f"is below the guard {GUARD:.1e}"
         )
     e, l1 = ev.floats, norm_l1(ev)
     big = np.flatnonzero(np.abs(e) > 2.0**-52 * l1)  # a leading 1e-222 makes np.roots lose
@@ -236,7 +236,7 @@ def even_inverse_spectral(
     r[p] += 1.0
     n = 1 << (g.size + r.size - 2).bit_length()  # a power of two past both supports
     g = g + np.fft.irfft(np.fft.rfft(g, n) * np.fft.rfft(r, n), n)[p : p + g.size]
-    cert = _certificate(ev, vals, rev.min_modulus, guard)
+    cert = _certificate(ev, vals, rev)
     kernel = Kernel(-(ev.offset + shift) - (n_in - 1), g, tol, "spectral",
                     cert if cert.hypothesis_met else None)
     residual = inverse_residual_l1(alpha, kernel)
@@ -260,10 +260,9 @@ def decay_certificate(alpha: Mask) -> DecayCertificate:
     returned.  The bound is guaranteed only when the even symbol is real and
     strictly positive on the circle; otherwise the returned constants are
     nominal and ``hypothesis_met`` is ``False``.  The symbol is sampled on the
-    ``CIRCLE_SAMPLES``-point grid, and ``GUARD`` is the vanishing threshold.
+    circle grid, and ``GUARD`` is the vanishing threshold.
     """
-    ev, vals, rev = _even_symbol(alpha, CIRCLE_SAMPLES, GUARD)
-    return _certificate(ev, vals, rev.min_modulus, GUARD)
+    return _certificate(*_even_symbol(alpha))
 
 
 def _decay_constants(kappa: float, s: int):
@@ -272,9 +271,9 @@ def _decay_constants(kappa: float, s: int):
     return q, q ** (1.0 / s), max(1.0, (1.0 + math.sqrt(kappa)) ** 2 / (2.0 * kappa))
 
 
-def _certificate(ev, vals, mn, guard) -> DecayCertificate:
-    mx = float(np.max(np.abs(vals)))
-    if mn <= guard:
+def _certificate(ev, vals, rev: EvenReversibility) -> DecayCertificate:
+    mn, mx = rev.min_modulus, float(np.max(np.abs(vals)))
+    if not rev.ok:
         raise CertificateUnavailableError(
             f"even symbol modulus reaches {mn:.3e}; no summable inverse"
         )
@@ -283,7 +282,7 @@ def _certificate(ev, vals, mn, guard) -> DecayCertificate:
     positive = bool(
         2 * ev.offset + len(ev.coeffs) - 1 == 0
         and np.max(np.abs(vals.imag)) <= 1e-12 * max(1.0, mx)
-        and np.min(vals.real) > guard
+        and np.min(vals.real) > GUARD
     )
     kappa = mx / mn
     if kappa <= 1.0 + 1e-12:

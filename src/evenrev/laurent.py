@@ -39,7 +39,10 @@ Symbols are sampled on the circle only by :func:`symbol_on_circle`, at the
 points ``z_j = exp(-2*pi*i*j/n)`` of :func:`unit_circle`: ``z_j**k`` depends on
 ``k`` modulo ``n``, so the coefficients are folded modulo ``n`` (supports longer
 than ``n`` included) and one FFT gives all ``n`` values, or one ``rfft`` gives
-``j = 0 .. n/2`` when the conjugate half is not needed.
+``j = 0 .. n/2`` when the conjugate half is not needed.  Every norm over the
+circle uses one grid rule, ``n = max(CIRCLE_SAMPLES, 4 * len(m.coeffs))``, so a
+mask of up to 4096 coefficients is sampled at 16384 points and a longer one at
+four points a coefficient.
 """
 
 from __future__ import annotations
@@ -76,7 +79,8 @@ __all__ = [
     "abs_moment",
 ]
 
-# Defaults: |ev| at or below GUARD counts as zero; the circle grid; an inverse's ||g*ev - delta||_1
+# Fixed policy: |ev| at or below GUARD counts as zero; the circle grid's least size.
+# INVERSE_TOL is the default bound on an inverse's ||g*ev - delta||_1.
 GUARD = 1e-9
 CIRCLE_SAMPLES = 16384
 INVERSE_TOL = 1e-12
@@ -379,9 +383,9 @@ def difference(c) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def unit_circle(samples: int) -> np.ndarray:
-    """``samples`` evenly spaced points ``exp(-2*pi*i*m/samples)`` on the circle."""
-    return np.exp(-2j * np.pi * np.arange(samples) / samples)
+def unit_circle(n: int) -> np.ndarray:
+    """``n`` evenly spaced points ``exp(-2*pi*i*j/n)`` on the circle."""
+    return np.exp(-2j * np.pi * np.arange(n) / n)
 
 
 def symbol_on_circle(m: Mask, n: int, half: bool = False) -> np.ndarray:
@@ -393,25 +397,19 @@ def symbol_on_circle(m: Mask, n: int, half: bool = False) -> np.ndarray:
     return np.fft.rfft(folded) if half else np.fft.fft(folded)
 
 
-def _validated_samples(m: Mask, samples: int) -> None:
-    if samples < 4 or samples & (samples - 1):
-        raise ParameterError("samples must be a power of two >= 4")
-    if samples < 4 * max(len(m.coeffs), 1):
-        raise ParameterError(
-            f"samples={samples} undersamples a mask with {len(m.coeffs)} coefficients"
-        )
+def _circle_grid(m: Mask) -> int:
+    """Points of the circle grid for ``m``: ``CIRCLE_SAMPLES``, or four a coefficient past that."""
+    return max(CIRCLE_SAMPLES, 4 * len(m.coeffs))
 
 
-def sup_norm_on_circle(m: Mask, samples: int = CIRCLE_SAMPLES) -> float:
-    """Max of ``|m(z)|`` over a power-of-two grid of unit-circle points."""
-    _validated_samples(m, samples)
-    return float(np.max(np.abs(symbol_on_circle(m, samples, half=True))))
+def sup_norm_on_circle(m: Mask) -> float:
+    """Max of ``|m(z)|`` over the circle grid."""
+    return float(np.max(np.abs(symbol_on_circle(m, _circle_grid(m), half=True))))
 
 
-def min_modulus_on_circle(m: Mask, samples: int = CIRCLE_SAMPLES) -> float:
-    """Min of ``|m(z)|`` over a power-of-two grid of unit-circle points."""
-    _validated_samples(m, samples)
-    return float(np.min(np.abs(symbol_on_circle(m, samples, half=True))))
+def min_modulus_on_circle(m: Mask) -> float:
+    """Min of ``|m(z)|`` over the circle grid."""
+    return float(np.min(np.abs(symbol_on_circle(m, _circle_grid(m), half=True))))
 
 
 def norm_l1(m: Mask) -> float:

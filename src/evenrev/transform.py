@@ -51,17 +51,8 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .inverse import Kernel, even_inverse_spectral
-from .laurent import (
-    GUARD,
-    Mask,
-    _polyphase,
-    _signal,
-    as_signal,
-    circular_convolve,
-    downsample,
-    symbol_on_circle,
-)
+from .inverse import Kernel, _reversibility, even_inverse_spectral
+from .laurent import Mask, _polyphase, _signal, as_signal, circular_convolve, downsample
 from .masks import is_interpolatory
 
 __all__ = ["Pyramid", "decimate", "decompose", "reconstruct", "threshold_details"]
@@ -135,7 +126,7 @@ class Pyramid:
                    default=0.0)
 
 
-def _halving(alpha: Mask, n: int, mode: str, kernel: Kernel | None, guard: float):
+def _halving(alpha: Mask, n: int, mode: str, kernel: Kernel | None):
     """Decimation ``f(ce, l)`` of the downsampled data ``ce`` at halving ``l`` from period ``n``.
 
     Exact mode samples the even symbol once, at period ``m = n/2``; halving ``l`` divides by
@@ -145,30 +136,21 @@ def _halving(alpha: Mask, n: int, mode: str, kernel: Kernel | None, guard: float
         raise ParameterError(f"unknown decimation mode {mode!r}; use one of {MODES}")
     if mode == "kernel":
         if kernel is None:
-            kernel = even_inverse_spectral(alpha, guard=guard)
+            kernel = even_inverse_spectral(alpha)
         return lambda ce, level: circular_convolve(kernel, ce)
-    if is_interpolatory(alpha, tol=0.0):
+    if is_interpolatory(alpha):
         return lambda ce, level: ce
-    m = n // 2
-    vals = symbol_on_circle(alpha.polyphase[0], m, half=True)
-    bad = np.abs(vals) <= guard
-    if np.any(bad):
-        where = complex(np.exp(-2j * np.pi * int(np.argmax(bad)) / m))
+    vals, rev = _reversibility(alpha.polyphase[0], n // 2)
+    if not rev.ok:
         raise DecimationSingularError(
-            f"even symbol vanishes at the root of unity {where:.6f} (period {m})"
+            f"even symbol vanishes at the root of unity {rev.witness:.6f} (period {n // 2})"
         )
     return lambda ce, level: np.fft.irfft(
         np.fft.rfft(ce, axis=-1) / vals[:: 1 << level], ce.shape[-1], axis=-1
     )
 
 
-def decimate(
-    c,
-    alpha: Mask,
-    mode: str = "exact",
-    kernel: Kernel | None = None,
-    guard: float = GUARD,
-) -> np.ndarray:
+def decimate(c, alpha: Mask, mode: str = "exact", kernel: Kernel | None = None) -> np.ndarray:
     """Halve the period: convolve the downsampled data with the even-inverse.
 
     In ``"exact"`` mode the periodized inverse is applied by discrete Fourier
@@ -179,10 +161,10 @@ def decimate(
     c = _signal(c)
     if c.shape[-1] % 2:
         raise LengthError(f"decimation needs an even period, got {c.shape[-1]}")
-    return _halving(alpha, c.shape[-1], mode, kernel, guard)(downsample(c), 0)
+    return _halving(alpha, c.shape[-1], mode, kernel)(downsample(c), 0)
 
 
-def _analysis(c, alpha: Mask, levels: int, mode: str, kernel: Kernel | None, guard: float):
+def _analysis(c, alpha: Mask, levels: int, mode: str, kernel: Kernel | None):
     """Yield :func:`decompose`'s ``(c_J, d_J), ..., (c_1, d_1)``, then ``(c_0, None)``: each
     level's data and detail, the odd half in exact mode and the full residual in kernel mode."""
     c = _signal(c)
@@ -191,7 +173,7 @@ def _analysis(c, alpha: Mask, levels: int, mode: str, kernel: Kernel | None, gua
         raise LevelError(
             f"period {n} does not support {levels} halvings with >= 2 coarse samples"
         )
-    halve = _halving(alpha, n, mode, kernel, guard)
+    halve = _halving(alpha, n, mode, kernel)
     for level in range(levels):
         coarse = halve(c[..., ::2], level)  # a view, not a copy: nothing here writes into c
         if mode == "kernel":  # the paper's detail c - S(coarse), written slot by slot
@@ -212,16 +194,14 @@ def decompose(
     mode: str = "exact",
     kernel: Kernel | None = None,
     mask_id: str = "custom",
-    guard: float = GUARD,
 ) -> Pyramid:
     """Run ``levels`` analysis steps, finest data in, coarse-plus-details out.
 
     Exact mode predicts only the odd samples and stores each level's odd half;
-    kernel mode stores the whole residual.  ``guard`` is :func:`decimate`'s bound on
-    the even symbol's modulus.
+    kernel mode stores the whole residual.
     """
     stored = []
-    for coarse, d in _analysis(c, alpha, levels, mode, kernel, guard):
+    for coarse, d in _analysis(c, alpha, levels, mode, kernel):
         stored.append(d)  # the details only: one level's data alive at a time
     if len(stored) < 2:  # c_0 alone, without a detail
         raise LevelError("need at least one level, got 0")

@@ -38,7 +38,7 @@ from evenrev.analysis import (
 )
 from evenrev.inverse import SQRT2_RATIO
 from evenrev.laurent import (
-    convolve, difference, even_part, min_modulus_on_circle, norm_l1, upsample_mask,
+    convolve, difference, even_part, min_modulus_on_circle, norm_l1, unit_circle, upsample_mask,
 )
 from evenrev.transform import Pyramid
 
@@ -265,17 +265,17 @@ def test_experiments_bound_synthesis_deeper_than_twelve_levels():
     assert report.constants["sup_norm"] == estimate_subdivision_sup_norm(mask)
 
 
-@pytest.mark.parametrize("samples", [3, 15, 24])
-def test_subdivision_norm_2_refuses_a_grid_that_is_not_a_power_of_two(samples):
-    with pytest.raises(ParameterError, match="power of two"):
-        subdivision_norm_2(bspline_mask(3), samples)
-
-
 def test_subdivision_norm_2_refuses_an_undersampling_grid():
-    mask = pseudo_spline_mask(12, 1)  # 15 taps need 60 points
-    with pytest.raises(ParameterError, match="undersamples"):
-        subdivision_norm_2(mask, 32)
-    assert subdivision_norm_2(mask, 64) >= 1.0
+    # past 4096 taps the grid grows to four points a tap: 4100 taps are sampled at 16400
+    # points, where the sup of sqrt((|a(z)|^2 + |a(-z)|^2) / 2) differs from 16384 points'
+    alpha = Mask(-2050, tuple(np.random.default_rng(4).uniform(-1, 1, 4100).tolist()))
+    sups = {}
+    for n in (16384, 16400):
+        vals = np.abs(alpha.symbol(unit_circle(n))) ** 2
+        sups[n] = float(np.sqrt(np.max((vals + np.roll(vals, n // 2)) / 2)))
+    got = subdivision_norm_2(alpha)
+    assert got == pytest.approx(sups[16400], rel=1e-9)
+    assert got != pytest.approx(sups[16384], rel=1e-9)
 
 
 def test_one_step_norms_dominate_random_applications():
@@ -382,21 +382,20 @@ def test_decomposition_stability_spells_p_one_way(p, spelled):
 
 def test_l2_decomposition_stability_inverts_nothing(monkeypatch):
     # the p = 2 bound needs 1 / min|ev| alone, and exact mode decimates spectrally
-    near = Mask(0, (1.0, 0.5, 1.0 - 1e-10))  # |ev(-1)| = 1e-10, above a guard of 1e-12
+    near = Mask(0, (1.0, 0.5, 0.99999999))  # |ev(-1)| = 1e-8, above the guard of 1e-9
     monkeypatch.setattr(analysis_module, "even_inverse_spectral", _refuse)
-    report = decomposition_stability_experiment(near, p=2, trials=5, guard=1e-12)
+    report = decomposition_stability_experiment(near, p=2, trials=5)
     assert report.all_ok and len(report.trials) == 5
 
 
 def test_default_kernels_are_built_at_the_guard_passed():
-    # past a guard of 1e-12, the root 1e-10 from the circle decays too slowly;
-    # the default guard of 1e-9 must not be what refuses the mask
-    near = Mask(0, (1.0, 0.5, 1.0 - 1e-10))
-    for run in (lambda: decay_report("sine", 4, 2, near, guard=1e-12),
-                lambda: decay_report("sine", 4, 2, near, mode="kernel", guard=1e-12),
-                lambda: decomposition_stability_experiment(near, trials=2, guard=1e-12),
-                lambda: decomposition_stability_experiment(near, p=2, trials=2, mode="kernel",
-                                                           guard=1e-12)):
+    # |ev(-1)| = 1e-8 passes the guard of 1e-9, and the root 1e-8 from the circle
+    # decays too slowly: the guard must not be what refuses the mask
+    near = Mask(0, (1.0, 0.5, 0.99999999))
+    for run in (lambda: decay_report("sine", 4, 2, near),
+                lambda: decay_report("sine", 4, 2, near, mode="kernel"),
+                lambda: decomposition_stability_experiment(near, trials=2),
+                lambda: decomposition_stability_experiment(near, p=2, trials=2, mode="kernel")):
         with pytest.raises(SlowDecayError) as info:
             run()
         assert "guard" not in str(info.value)
@@ -579,18 +578,16 @@ def test_stability_reports_equal_the_per_trial_loops(
 
 
 def test_samples_reach_the_l2_decomposition_bounds():
-    # the smallest |ev| of this mask lies between the nodes of the default grid
+    # the bounds read 1 / min|ev| and the step norm on the 16384-point circle grid; the
+    # smallest |ev| of this mask lies between its nodes, so a finer grid reads more
     alpha = Mask(0, (1.0, 0.25, 0.3, 0.6, 0.5))
-    default = decomposition_stability_experiment(alpha, p=2, trials=2)
-    assert repr(decomposition_stability_experiment(alpha, p=2, trials=2, samples=16384)) == repr(
-        default
-    )
-    for samples in (1024, 65536):
-        report = decomposition_stability_experiment(alpha, p=2, trials=2, samples=samples)
-        d_norm = 1.0 / min_modulus_on_circle(even_part(alpha), samples)
-        assert report.constants["decimation_norm"] == d_norm
-        assert report.constants["subdivision_norm"] == subdivision_norm_2(alpha, samples)
-    assert report.constants["decimation_norm"] > default.constants["decimation_norm"]
+    report = decomposition_stability_experiment(alpha, p=2, trials=2)
+    ev = even_part(alpha)
+    assert report.constants["decimation_norm"] == 1.0 / min_modulus_on_circle(ev)
+    assert report.constants["subdivision_norm"] == subdivision_norm_2(alpha)
+    grid, finer = (1.0 / np.min(np.abs(ev.symbol(unit_circle(n)))) for n in (16384, 65536))
+    assert report.constants["decimation_norm"] == pytest.approx(grid, rel=1e-12)
+    assert finer > grid * (1 + 1e-9)
 
 
 @pytest.mark.parametrize("trials", [0, -3])
@@ -655,19 +652,19 @@ def test_stability_verdict_needs_a_finite_measurement_and_bound():
 
 
 def test_analysis_experiments_take_the_guard():
-    # |ev(-1)| = 1e-10: below the default guard, above 1e-12
-    near = Mask(0, (1.0, 0.5, 1.0 - 1e-10))
+    # |ev(-1)| = 1e-10 is below the guard of 1e-9, and 1e-8 above it
+    below, above = Mask(0, (1.0, 0.5, 1.0 - 1e-10)), Mask(0, (1.0, 0.5, 0.99999999))
     signal = sample_function("sine", 5)
     kernel = Kernel(0, np.array([1.0]), 1.0, "custom")  # any kernel: exact mode ignores it
     with pytest.raises(DecimationSingularError):
-        compression_experiment(signal, near, 3, [0.0])
+        compression_experiment(signal, below, 3, [0.0])
     with pytest.raises(DecimationSingularError):
-        decomposition_stability_experiment(near, trials=2, kernel=kernel)
+        decomposition_stability_experiment(below, trials=2, kernel=kernel)
     with pytest.raises(DecimationSingularError):
-        decay_report("sine", 5, 2, near, kernel=kernel)
-    assert compression_experiment(signal, near, 3, [0.0], guard=1e-12).levels == 3
-    assert len(decomposition_stability_experiment(near, trials=2, kernel=kernel, guard=1e-12).trials) == 2
-    assert len(decay_report("sine", 5, 2, near, kernel=kernel, guard=1e-12).rows) == 6
+        decay_report("sine", 5, 2, below, kernel=kernel)
+    assert compression_experiment(signal, above, 3, [0.0]).levels == 3
+    assert len(decomposition_stability_experiment(above, trials=2, kernel=kernel).trials) == 2
+    assert len(decay_report("sine", 5, 2, above, kernel=kernel).rows) == 6
 
 
 # ---------------------------------------------------------------------------

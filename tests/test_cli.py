@@ -12,7 +12,7 @@ import pytest
 
 from evenrev import cli, transform
 from evenrev.inverse import even_inverse_spectral, inverse_residual_l1
-from evenrev.laurent import Mask, even_part, min_modulus_on_circle
+from evenrev.laurent import Mask, even_part, min_modulus_on_circle, unit_circle
 from evenrev.cli import main
 from evenrev.masks import pseudo_spline_mask
 from evenrev.transform import decompose
@@ -270,81 +270,111 @@ def test_malformed_signal_exits_without_traceback(quadratic_mask, tmp_path):
     assert proc.stdout == ""
 
 
-def test_config_guard_threshold_reaches_exact_decompose(tmp_path, capsys):
-    mask = tmp_path / "near.json"  # even symbol 1 + (1 - 1e-10) z: |ev(-1)| = 1e-10
-    mask.write_text('{"offset": 0, "coeffs": [1.0, 0.5, 0.9999999999]}')
-    argv = ["decompose", "--signal", str(_signal_file(tmp_path, 32, 6)), "--mask", str(mask),
-            "--levels", "2", "--out", str(tmp_path / "p.json")]
-    assert run(*argv) == 1
-    assert capsys.readouterr().err.startswith("error: validation: even symbol vanishes")
-    cfg = tmp_path / "config.json"
+NEAR_SINGULAR = [1.0, 0.5, 0.9999999999]  # ev = 1 + (1 - 1e-10) z: |ev(-1)| = 1e-10 < GUARD
+NEAR_GUARD = [1.0, 0.5, 0.99999999]  # ev = 1 + (1 - 1e-8) z: |ev(-1)| = 1e-8 > GUARD
+
+
+def _near_mask(tmp_path, coeffs):
+    mask = tmp_path / "near.json"
+    mask.write_text(json.dumps({"offset": 0, "coeffs": coeffs}))
+    return str(mask)
+
+
+def _refuses_guard_threshold(argv, tmp_path, capsys):
+    # the guard is fixed policy, not a setting: a config that still sets it is refused
+    cfg = tmp_path / "guard.json"
     cfg.write_text('{"guard_threshold": 1e-12}')
-    assert run("--config", str(cfg), *argv) == 0
-    assert load_json(str(tmp_path / "p.json"))["levels"] == 2
+    assert run("--config", str(cfg), *argv) == 1
+    assert "unknown key 'guard_threshold'" in capsys.readouterr().err
+
+
+def test_config_guard_threshold_reaches_exact_decompose(tmp_path, capsys):
+    # exact decimation and the inverter are decided at the fixed guard of 1e-9
+    signal, p = str(_signal_file(tmp_path, 32, 6)), tmp_path / "p.json"
+
+    def argv(coeffs):
+        return ["decompose", "--signal", signal, "--mask", _near_mask(tmp_path, coeffs),
+                "--levels", "2", "--out", str(p)]
+
+    assert run(*argv(NEAR_SINGULAR)) == 1
+    assert capsys.readouterr().err.startswith("error: validation: even symbol vanishes")
+    _refuses_guard_threshold(argv(NEAR_SINGULAR), tmp_path, capsys)
+    assert not p.exists()
+    assert run(*argv(NEAR_GUARD)) == 0
+    assert load_json(str(p))["levels"] == 2
+    invert = ["invert", "--mask", _near_mask(tmp_path, NEAR_SINGULAR), "--out", str(p)]
+    assert run(*invert) == 1
+    assert "below the guard 1.0e-09" in capsys.readouterr().err
+    # above the guard the inverter is stopped by its kernel instead: a root 1e-8 from the
+    # circle decays too slowly for 2**20 coefficients a side
+    invert[2] = _near_mask(tmp_path, NEAR_GUARD)
+    assert run(*invert) == 1
+    err = capsys.readouterr().err
+    assert "guard" not in err and "needs more than 1048576 coefficients" in err, err
 
 
 def test_config_guard_threshold_reaches_analyze(tmp_path, capsys):
-    mask = tmp_path / "near.json"  # even symbol 1 + (1 - 1e-10) z: |ev(-1)| = 1e-10
-    mask.write_text('{"offset": 0, "coeffs": [1.0, 0.5, 0.9999999999]}')
-    m, out = ["--mask", str(mask)], ["--out", str(tmp_path / "out")]
-    signal = str(_signal_file(tmp_path, 64, 6))
-    runs = {
-        "compress": ["analyze", "compress", "--signal", signal, *m, "--levels", "3",
-                     "--eps-grid", "0,1e-3", *out],
-        "rec": ["analyze", "stability", "--mode", "rec", "--trials", "2", *m, *out],
-        "dec": ["analyze", "stability", "--mode", "dec", "--trials", "2", *m, *out],
-        "decay": ["analyze", "decay", "--levels", "4", *m, *out],
-    }
-    for name, argv in runs.items():  # the default guard refuses the mask everywhere
+    signal, out = str(_signal_file(tmp_path, 64, 6)), ["--out", str(tmp_path / "out")]
+
+    def runs(coeffs):
+        m = ["--mask", _near_mask(tmp_path, coeffs)]
+        return {
+            "compress": ["analyze", "compress", "--signal", signal, *m, "--levels", "3",
+                         "--eps-grid", "0,1e-3", *out],
+            "rec": ["analyze", "stability", "--mode", "rec", "--trials", "2", *m, *out],
+            "dec": ["analyze", "stability", "--mode", "dec", "--trials", "2", *m, *out],
+            "decay": ["analyze", "decay", "--levels", "4", *m, *out],
+        }
+
+    below = runs(NEAR_SINGULAR)
+    for name, argv in below.items():  # the fixed guard refuses the mask everywhere
         assert run(*argv) == 1, name
         err = capsys.readouterr().err
         assert "vanishes" in err or "below the guard 1.0e-09" in err, (name, err)
-    cfg = tmp_path / "config.json"
-    cfg.write_text('{"guard_threshold": 1e-12}')
+    _refuses_guard_threshold(below["compress"], tmp_path, capsys)
+    above = runs(NEAR_GUARD)
     for name in ("compress", "rec"):
-        assert run("--config", str(cfg), *runs[name]) == 0, name
+        assert run(*above[name]) == 0, name
+        assert capsys.readouterr().err == "", name
     # dec and decay take the bounds' constants from a spectral kernel; with the
-    # guard passed, its inversion is what stops them: a root 1e-10 from the
+    # guard passed, its inversion is what stops them: a root 1e-8 from the
     # circle decays too slowly for any kernel up to 2**20 coefficients a side
     for name in ("dec", "decay"):
-        assert run("--config", str(cfg), *runs[name]) == 1, name
+        assert run(*above[name]) == 1, name
         err = capsys.readouterr().err
         assert "guard" not in err and "needs more than 1048576 coefficients" in err, (name, err)
 
 
 def test_config_guard_threshold_lets_l2_decomposition_stability_run(tmp_path, capsys):
     # --p 2 needs no kernel, so only --p inf meets the slowly decaying inverse
-    mask = tmp_path / "near.json"  # even symbol 1 + (1 - 1e-10) z: |ev(-1)| = 1e-10
-    mask.write_text('{"offset": 0, "coeffs": [1.0, 0.5, 0.9999999999]}')
-    cfg = tmp_path / "guard.json"
-    cfg.write_text('{"guard_threshold": 1e-12}')
-    argv = ["--config", str(cfg), "analyze", "stability", "--mode", "dec", "--mask", str(mask),
-            "--trials", "3", "--out", str(tmp_path / "dec.json")]
-    assert run(*argv, "--p", "2") == 0
+    def argv(coeffs):
+        return ["analyze", "stability", "--mode", "dec", "--mask", _near_mask(tmp_path, coeffs),
+                "--trials", "3", "--out", str(tmp_path / "dec.json")]
+
+    assert run(*argv(NEAR_SINGULAR), "--p", "2") == 1
+    assert "vanishes" in capsys.readouterr().err
+    _refuses_guard_threshold([*argv(NEAR_SINGULAR), "--p", "2"], tmp_path, capsys)
+    assert run(*argv(NEAR_GUARD), "--p", "2") == 0
     report = load_json(str(tmp_path / "dec.json"))
     assert report["constants"]["p"] == "2" and len(report["trials"]) == 3
-    assert run(*argv, "--p", "inf") == 1
+    assert run(*argv(NEAR_GUARD), "--p", "inf") == 1
     assert "needs more than 1048576 coefficients" in capsys.readouterr().err
 
 
 def test_samples_reach_analyze_stability_p2(tmp_path):
-    # the smallest |ev| of this mask lies between the nodes of the default grid
+    # the bound's 1/min|ev| is read on the 16384-point circle grid; this mask's
+    # smallest |ev| lies between the grid's nodes
     coeffs = (1.0, 0.25, 0.3, 0.6, 0.5)
     mask = tmp_path / "offgrid.json"
     mask.write_text(json.dumps({"offset": 0, "coeffs": list(coeffs)}))
-    argv = ["analyze", "stability", "--mode", "dec", "--p", "2", "--trials", "2", "--mask", str(mask)]
-    files = {}
-    for name, flags in {"default": [], "16384": ["--samples", "16384"],
-                        "65536": ["--samples", "65536"]}.items():
-        out = tmp_path / f"{name}.json"
-        assert run(*flags, *argv, "--out", str(out)) == 0
-        files[name] = out.read_bytes()
-    assert files["default"] == files["16384"]
-    assert files["default"] != files["65536"]
-    even = even_part(Mask(0, coeffs))
-    for name, samples in (("default", 16384), ("65536", 65536)):
-        constants = json.loads(files[name])["constants"]
-        assert constants["decimation_norm"] == 1.0 / min_modulus_on_circle(even, samples), name
+    out = tmp_path / "dec.json"
+    assert run("analyze", "stability", "--mode", "dec", "--p", "2", "--trials", "2",
+               "--mask", str(mask), "--out", str(out)) == 0
+    ev = even_part(Mask(0, coeffs))
+    modulus = np.min(np.abs(ev.symbol(unit_circle(16384))))
+    constants = json.loads(out.read_bytes())["constants"]
+    assert constants["decimation_norm"] == 1.0 / min_modulus_on_circle(ev)
+    assert constants["decimation_norm"] == pytest.approx(1.0 / modulus, rel=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["rec", "dec"])
@@ -370,12 +400,12 @@ def test_analyze_stability_overflow_fails_quietly(tmp_path, mode):
 
 def test_config_file_applies(tmp_path, quadratic_mask, capsys):
     cfg = tmp_path / "config.json"
-    write_text_atomic(str(cfg), json.dumps({"circle_samples": 2048, "inverse_tol": 1e-10}) + "\n")
+    write_text_atomic(str(cfg), json.dumps({"inverse_tol": 1e-10}) + "\n")
     assert run("--config", str(cfg), "invert", "--mask", str(quadratic_mask)) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["tol"] <= 1e-10
     bad = tmp_path / "bad_config.json"
-    write_text_atomic(str(bad), json.dumps({"circle_samples": 100}) + "\n")
+    write_text_atomic(str(bad), json.dumps({"inverse_tol": 0}) + "\n")
     assert run("--config", str(bad), "invert", "--mask", str(quadratic_mask)) == 1
 
 
@@ -392,8 +422,7 @@ KERNEL = ('{{"offset": 0, "coeffs": [1.0], "tol": 1e-9, "certificate": {{"kappa"
     [
         ("reconstruct --pyramid {p} --mask {m}", {"p": '{"coarse": [1.0,'}, "is not valid JSON"),
         ("invert --mask {x}", {"x": '{"coeffs": [0.5, 1.0]}'}, "mask lacks the field 'offset'"),
-        ("--config {c} invert --mask {m}", {"c": '{"circle_samples": "x"}'},
-         "circle_samples must be int, got 'x'"),
+        ("--config {c} invert --mask {m}", {"c": '{"seed": "x"}'}, "seed must be int, got 'x'"),
         ("--config {c} invert --mask {m}", {"c": "[16384]"}, "must be a JSON object"),
         ("--config {c} invert --mask {m}", {"c": '{"inverse_tol": NaN}'},
          "inverse_tol must be finite and > 0"),
@@ -434,9 +463,11 @@ KERNEL = ('{{"offset": 0, "coeffs": [1.0], "tol": 1e-9, "certificate": {{"kappa"
          "random values, more than an array can hold"),
         ("analyze stability --mode rec --trials 100000000000000000000 --mask {m}", {},
          "random values, more than an array can hold"),
-        # 2**50 circle samples would take 8 PiB
-        ("--samples 1125899906842624 analyze stability --mode dec --p 2 --mask {m}", {},
-         "circle_samples must be a power of two in [1024, 2**24], got 1125899906842624"),
+        # the circle grid is fixed: a config that still asks for 2**50 samples names a key
+        # that no longer exists
+        ("--config {c} analyze stability --mode dec --p 2 --mask {m}",
+         {"c": '{"circle_samples": 1125899906842624}'},
+         "unknown key 'circle_samples'; the keys are inverse_tol, seed, mode"),
         ("analyze decay --levels 70 --mask {m}", {}, "levels 70 with base 2 ask for"),
         # 2**59 samples pass numpy's size check, but 4 EiB exceed any address space
         ("analyze decay --levels 58 --mask {m}", {}, "levels 58 with base 2 ask for"),
@@ -447,7 +478,7 @@ KERNEL = ('{{"offset": 0, "coeffs": [1.0], "tol": 1e-9, "certificate": {{"kappa"
          "seed must be >= 0, got -1"),
         # a misspelt key would leave its default in force, silently
         ("--config {c} analyze stability --mode dec --p 2 --mask {m}",
-         {"c": '{"guard_treshold": 1e-12}'}, "unknown key 'guard_treshold'; the keys are"),
+         {"c": '{"inverse_toll": 1e-10}'}, "unknown key 'inverse_toll'; the keys are"),
         # bool("false") is True, so a string must not pass for a boolean
         ("decompose --signal {s} --mask {m} --levels 1 --mode kernel --kernel {k}",
          {"k": KERNEL.format('"false"')}, "certificate field 'hypothesis_met' must be true or"),

@@ -253,9 +253,11 @@ def test_spectral_budget_scales_with_the_even_part_one_norm(tol):
 
 
 def test_spectral_rejects_nonreversible():
-    m = upsample_mask(make_mask(0, [1, 1]))
-    with pytest.raises(EvenReversibilityError):
-        even_inverse_spectral(m)
+    # ev = 1 + z vanishes at z = -1, and 1 + (1 - 1e-10) z is 1e-10 from zero there
+    message = r"at z=-1\.000000-0\.000000j is below the guard 1\.0e-09"
+    for m in (upsample_mask(make_mask(0, [1, 1])), make_mask(0, [1.0, 0.5, 1.0 - 1e-10])):
+        with pytest.raises(EvenReversibilityError, match=message):
+            even_inverse_spectral(m)
 
 
 def test_spectral_slow_decay_budget():
@@ -268,7 +270,7 @@ def test_spectral_slow_decay_budget():
     for _ in range(3):
         start = time.perf_counter()
         with pytest.raises(SlowDecayError, match=message):
-            even_inverse_spectral(mask, tol=1e-12, guard=1e-9)
+            even_inverse_spectral(mask, tol=1e-12)
         times.append(time.perf_counter() - start)
     assert min(times) < 0.01
 

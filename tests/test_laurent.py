@@ -379,18 +379,23 @@ def test_circle_norms_delta():
 
 
 def test_circle_norms_validation():
-    with pytest.raises(ParameterError):
-        sup_norm_on_circle(delta(1), samples=100)  # not a power of two
-    with pytest.raises(ParameterError):
-        min_modulus_on_circle(make_mask(0, [1] * 10), samples=16)
+    # no grid is asked for, so none is refused: a mask of more than 4096 coefficients
+    # is sampled at four points a coefficient, not aliased onto 16384 points
+    m = make_mask(-2050, np.random.default_rng(9).uniform(-1, 1, 4100).tolist())
+    mods = {n: np.abs(m.symbol(unit_circle(n))) for n in (16384, 16400)}
+    assert sup_norm_on_circle(m) == pytest.approx(np.max(mods[16400]), rel=1e-9)
+    assert min_modulus_on_circle(m) == pytest.approx(np.min(mods[16400]), abs=1e-10)
+    assert sup_norm_on_circle(m) != pytest.approx(np.max(mods[16384]), rel=1e-9)
 
 
 def test_circle_norm_monotone_in_samples():
+    # each grid holds the coarser ones, so its max can only grow and its min only fall
     m = make_mask(-2, [0.3, -1.0, 2.0, 0.5, -0.2])
-    sups = [sup_norm_on_circle(m, s) for s in (32, 64, 128, 256)]
-    mins = [min_modulus_on_circle(m, s) for s in (32, 64, 128, 256)]
+    mods = [np.abs(symbol_on_circle(m, s)) for s in (32, 64, 128, 256, 16384)]
+    sups, mins = [float(np.max(x)) for x in mods], [float(np.min(x)) for x in mods]
     assert all(a <= b + 1e-15 for a, b in zip(sups, sups[1:]))
     assert all(a >= b - 1e-15 for a, b in zip(mins, mins[1:]))
+    assert (sups[-1], mins[-1]) == (sup_norm_on_circle(m), min_modulus_on_circle(m))
 
 
 def test_sequence_norms():
@@ -645,6 +650,18 @@ def subdivide_then_add(p, alpha):
     return c
 
 
+def direct_synthesis(p, alpha):
+    """Synthesis by the direct sums of ``brute_subdivide``, row by row, sharing no code with
+    ``reconstruct``: each level's details are added to the slots they cover."""
+    c = p.coarse
+    for d in p.stored:
+        rows = [brute_subdivide(alpha, row) for row in c.reshape(-1, c.shape[-1])]
+        c = np.reshape(rows, c.shape[:-1] + (2 * c.shape[-1],))
+        slots = c if d.shape[-1] == c.shape[-1] else c[..., 1::2]
+        slots += d
+    return c
+
+
 @pytest.mark.parametrize("lead", [(), (2, 3)])
 def test_reconstruct_adds_the_details_as_subdivide_then_add_would(lead):
     rng = np.random.default_rng(len(lead))
@@ -658,4 +675,6 @@ def test_reconstruct_adds_the_details_as_subdivide_then_add_would(lead):
     p = Pyramid._of(coarse, stored, "test")
     masks = (bspline_mask(4), bspline_mask(3), delta(1.0), Mask(1, (0.5,)), Mask(-3, (0.25,) * 13))
     for alpha in masks:  # whole, an empty odd part, an empty even part, longer than a period
-        assert reconstruct(p, alpha).tobytes() == subdivide_then_add(p, alpha).tobytes()
+        got, direct = reconstruct(p, alpha), direct_synthesis(p, alpha)
+        assert got.tobytes() == subdivide_then_add(p, alpha).tobytes()
+        assert np.max(np.abs(got - direct)) <= 1e-13 * max(1.0, np.max(np.abs(direct)))

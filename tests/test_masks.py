@@ -103,19 +103,20 @@ def test_is_interpolatory_examples():
     assert is_interpolatory(pseudo_spline_mask(4, 1))
     assert not is_interpolatory(bspline_mask(3))
     assert is_interpolatory(delta(1))
-    # float masks use the tolerance path
+    # a float mask's even part is 1.0 at index 0, which equals 1
     floaty = pseudo_spline_mask(6, 2).astype_float()
     assert is_interpolatory(floaty)
 
 
-def test_is_interpolatory_with_zero_tol_asks_for_the_exact_unit_impulse():
-    near = make_mask(-2, [1e-13, 0.5, 1.0 + 1e-13, 0.5])  # even part 1e-13/z + 1 + 1e-13
-    assert is_interpolatory(near) and not is_interpolatory(near, tol=0.0)
+def test_is_interpolatory_asks_for_the_exact_unit_impulse():
     exact = pseudo_spline_mask(6, 2)
     for m in (make_mask(0, [1.0, 0.5]), exact, exact.astype_float()):
-        assert is_interpolatory(m, tol=0.0)
-    for m in (bspline_mask(3), make_mask(2, [1.0]), make_mask(1, [0.5]), make_mask(0, [-1.0])):
-        assert not is_interpolatory(m, tol=0.0) and not is_interpolatory(m, tol=0.5)
+        assert is_interpolatory(m)
+    # an even part within 1e-13 of the impulse is not the impulse
+    near = make_mask(-2, [1e-13, 0.5, 1.0 + 1e-13, 0.5])  # even part 1e-13/z + 1 + 1e-13
+    for m in (near, make_mask(0, [1.0 + 2.0**-52]), bspline_mask(3), make_mask(2, [1.0]),
+              make_mask(1, [0.5]), make_mask(0, [-1.0])):
+        assert not is_interpolatory(m)
 
 
 def test_normalization_check():

@@ -17,7 +17,8 @@ import pytest
 import test_cli
 import test_inverse
 import test_laurent
-from evenrev import cli, inverse, laurent, selftest
+import test_transform
+from evenrev import cli, inverse, laurent, selftest, transform
 from evenrev.errors import EvenRevError
 
 
@@ -84,13 +85,37 @@ MUTANTS = {
         laurent._polyphase,
         "for part in parts:",
         "for part in parts[::-1]:",
-        [criterion("6"), criterion("7"), call(test_laurent.test_polyphase_matches_the_direct_sum, 5)],
+        [criterion("6"), criterion("7"), call(test_laurent.test_polyphase_matches_the_direct_sum, 5),
+         call(test_laurent.test_reconstruct_adds_the_details_as_subdivide_then_add_would, ())],
     ),
     "wrap_start_off_by_one": (
         laurent._polyphase,
         "start = first % n",
         "start = (first + 1) % n",
-        [criterion("6"), criterion("7"), call(test_laurent.test_polyphase_matches_the_direct_sum, 5)],
+        [criterion("6"), criterion("7"), call(test_laurent.test_polyphase_matches_the_direct_sum, 5),
+         call(test_laurent.test_reconstruct_adds_the_details_as_subdivide_then_add_would, ())],
+    ),
+    # the guard ignored: by the one test of |ev| > GUARD, by exact decimation, by the inverter
+    "guard_at_zero": (
+        inverse._reversibility,
+        "mods[i] > GUARD",
+        "mods[i] > 0.0",
+        [call(test_inverse.test_spectral_rejects_nonreversible),
+         call(test_transform.test_decompose_guard_reaches_exact_mode)],
+    ),
+    "decimation_guard_skipped": (
+        transform._halving,
+        "if not rev.ok:",
+        "if False:",
+        [call(test_transform.test_decompose_guard_reaches_exact_mode),
+         call(test_cli.test_config_guard_threshold_reaches_exact_decompose)],
+    ),
+    "inversion_guard_skipped": (
+        inverse.even_inverse_spectral,
+        "if not rev.ok:",
+        "if False:",
+        [call(test_inverse.test_spectral_rejects_nonreversible),
+         call(test_cli.test_config_guard_threshold_reaches_analyze)],
     ),
 }
 

@@ -11,13 +11,13 @@ from hypothesis.extra import numpy as hnp
 from evenrev import (
     DecimationSingularError,
     EvenReversibilityError,
-    EvenRevError,
     Kernel,
     LengthError,
     LevelError,
     ParameterError,
     Pyramid,
     ShapeError,
+    SlowDecayError,
     bspline_mask,
     catalog,
     dd_mask,
@@ -39,9 +39,9 @@ from evenrev.laurent import GUARD, circular_convolve, symbol_on_circle
 from evenrev.transform import MODES, _analysis, _halving
 
 
-def exact_decimate(ce, ev, guard):
+def exact_decimate(ce, ev):
     """``decimate`` of data whose downsampling is ``ce``, by a mask whose even part is ``ev``."""
-    return decimate(upsample(ce), upsample_mask(ev), guard=guard)
+    return decimate(upsample(ce), upsample_mask(ev))
 
 
 def naive_kernel_decimate(kernel, c):
@@ -57,14 +57,15 @@ def naive_kernel_decimate(kernel, c):
     return out
 
 
-def naive_exact_decimate(ce, ev, guard):
-    """Fourier division with the symbol evaluated by ``exp`` and ``polyval``."""
+def naive_exact_decimate(ce, ev):
+    """Fourier division with the symbol evaluated by ``exp`` and ``polyval``; the least
+    modulus at or below ``GUARD`` is refused, naming its root of unity."""
     m = ce.size
     z = np.exp(-2j * np.pi * np.arange(m // 2 + 1) / m)
     vals = ev.symbol(z)
-    bad = np.abs(vals) <= guard
-    if np.any(bad):
-        where = complex(z[int(np.argmax(bad))])
+    where = int(np.argmin(np.abs(vals)))
+    if abs(vals[where]) <= GUARD:
+        where = complex(z[where])
         raise DecimationSingularError(
             f"even symbol vanishes at the root of unity {where:.6f} (period {m})"
         )
@@ -146,7 +147,7 @@ def test_exact_decimate_matches_naive_reference(m):
     for mask in masks:
         ev = mask.polyphase[0]
         ce = rng.uniform(-1, 1, m)
-        err = np.max(np.abs(exact_decimate(ce, ev, 1e-9) - naive_exact_decimate(ce, ev, 1e-9)))
+        err = np.max(np.abs(exact_decimate(ce, ev) - naive_exact_decimate(ce, ev)))
         assert err <= 1e-13 * np.max(np.abs(ce))
 
 
@@ -155,7 +156,7 @@ def test_exact_decimate_singular_message_matches_naive_reference():
     messages = []
     for fn in (exact_decimate, naive_exact_decimate):
         with pytest.raises(DecimationSingularError) as info:
-            fn(np.ones(8), ev, 1e-9)
+            fn(np.ones(8), ev)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
 
@@ -280,7 +281,7 @@ def test_decompose_singular_even_symbol_raises_the_level_one_message(tap):
     mask = make_mask(0, [1.0, 0.5, tap])  # even part 1 + tap z, within the guard at -1
     c = np.ones(32)
     with pytest.raises(DecimationSingularError) as info:
-        naive_exact_decimate(c[::2], mask.polyphase[0], 1e-9)
+        naive_exact_decimate(c[::2], mask.polyphase[0])
     for levels in (1, 3):
         with pytest.raises(DecimationSingularError) as got:
             decompose(c, mask, levels)
@@ -289,15 +290,23 @@ def test_decompose_singular_even_symbol_raises_the_level_one_message(tap):
 
 
 def test_decompose_guard_reaches_exact_mode():
-    mask = make_mask(0, [1.0, 0.5, 1.0 - 1e-10])  # |ev(-1)| = 1e-10, under the default guard
+    # ev = 1 + (1 - gap) z has |ev(-1)| = gap: under GUARD = 1e-9 exact mode refuses the
+    # mask, just above it it divides.  The refusals are collected, not expected with
+    # pytest.raises, so a mask let through fails an assertion (tests/test_mutants.py).
     c = np.random.default_rng(21).uniform(-1, 1, 32)
-    with pytest.raises(DecimationSingularError):
-        decompose(c, mask, 2)
-    pyr = decompose(c, mask, 2, guard=1e-12)
-    scale = np.max(np.abs(pyr.coarse))  # |1/ev| reaches 1e10
+    refused = {}
+    for gap in (1e-10, 1e-8):
+        mask = make_mask(0, [1.0, 0.5, 1.0 - gap])
+        try:
+            pyr = decompose(c, mask, 2)
+        except DecimationSingularError as exc:
+            refused[gap] = str(exc)
+    assert refused == {1e-10: "even symbol vanishes at the root of unity -1.000000-0.000000j "
+                              "(period 16)"}
+    scale = np.max(np.abs(pyr.coarse))  # |1/ev| reaches 1e8
     assert np.max(np.abs(reconstruct(pyr, mask) - c)) < 1e-12 * scale
-    one = decompose(c, mask, 1, guard=1e-12)
-    assert one.coarse.tobytes() == decimate(c, mask, guard=1e-12).tobytes()
+    one = decompose(c, mask, 1)
+    assert one.coarse.tobytes() == decimate(c, mask).tobytes()
 
 
 def full_residual_decompose(c, alpha, levels):
@@ -394,7 +403,7 @@ def test_synthesize_levels_double_the_period_and_keep_the_leading_shape(lead):
     c = np.random.default_rng(14).uniform(-1, 1, lead + (80,))
     before = c.copy()
     mask = bspline_mask(4)
-    steps = list(_analysis(c, mask, 3, "exact", None, GUARD))
+    steps = list(_analysis(c, mask, 3, "exact", None))
     levels = [x for x, _ in steps[::-1]]
     assert [x.shape for x in levels] == [lead + (10 << l,) for l in range(4)]
     assert [d is None for _, d in steps] == [False, False, False, True]
@@ -420,7 +429,7 @@ def test_synthesize_without_details_yields_a_copy_of_the_coarse_data():
 def level_loop_before_the_generator(c, alpha, levels, mode, kernel):
     """The analysis loop as it was: exact mode predicts the odd samples alone,
     kernel mode subtracts the whole ``subdivide`` of the coarse data."""
-    halve = _halving(alpha, c.shape[-1], mode, kernel, GUARD)
+    halve = _halving(alpha, c.shape[-1], mode, kernel)
     od = alpha.polyphase[1]
     details = []
     for level in range(levels):
@@ -572,7 +581,7 @@ def test_kernel_even_details_stay_under_the_packed_limit(tol):
     floor = 1e-10 * max(1.0, float(np.max(np.abs(signal))))
     for name, mask in catalog().items():
         kernel = even_inverse_spectral(mask, tol=tol)
-        for c, d in list(_analysis(signal, mask, 5, "kernel", kernel, GUARD))[:-1]:
+        for c, d in list(_analysis(signal, mask, 5, "kernel", kernel))[:-1]:
             leak = np.max(np.abs(d[0::2]))
             assert leak <= 1.01 * tol * np.max(np.abs(c)) + floor, (name, tol, leak)
 
@@ -581,10 +590,10 @@ def test_kernel_mode_builds_its_kernel_at_the_guard_passed():
     near = make_mask(0, [1.0, 0.5, 1.0 - 1e-10])  # |ev(-1)| = 1e-10
     with pytest.raises(EvenReversibilityError, match="below the guard 1.0e-09"):
         decompose(np.ones(64), near, 2, mode="kernel")
-    # past the guard of 1e-12, the root 1e-10 from the circle decays too slowly
-    with pytest.raises(EvenRevError) as info:
-        decompose(np.ones(64), near, 2, mode="kernel", guard=1e-12)
-    assert "1.0e-09" not in str(info.value) and "guard" not in str(info.value)
+    # |ev(-1)| = 1e-8 passes the guard, and the root 1e-8 from the circle decays too slowly
+    with pytest.raises(SlowDecayError) as info:
+        decompose(np.ones(64), make_mask(0, [1.0, 0.5, 0.99999999]), 2, mode="kernel")
+    assert "guard" not in str(info.value)
 
 
 def test_reconstruct_zero_details_is_iterated_subdivision():
